@@ -8,7 +8,6 @@ from .allocation import (
     StandardBRAR,
     TrialTrajectory,
     TunedBRAR,
-    brar_probability,
     permuted_block_sequence,
     simulate_trial,
     tune_probability,
@@ -57,9 +56,8 @@ from .harness import (  # noqa: E402
     ScenarioSpec,
     TestEntry,
     patient_benefit,
-    power_convergence_sweep,
     run_scenario,
-    type1_curve,
+    sample_size_sweep,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .models import (
-    LARGER,
-    ArmPosterior,
     NormalKnownVar,
     OutcomeModel,
     PosteriorState,
@@ -57,18 +55,12 @@ DesignKind = Union[EqualRandomization, StandardBRAR, TunedBRAR]
 
 @dataclass(frozen=True)
 class DesignConfig:
-    """Trial layout: N subjects = burn_in + block_size * num_blocks.
-
-    ``t_min`` is the design's default run-in for allocation-probability
-    tests: the first adaptive block whose probability enters a test
-    statistic.  Individual test specs may override it.
-    """
+    """Trial layout: N subjects = burn_in + block_size * num_blocks."""
 
     total_n: int
     burn_in: int
     block_size: int
     num_blocks: int
-    t_min: int = 1
     design: DesignKind = StandardBRAR()
 
     def __post_init__(self) -> None:
@@ -82,10 +74,6 @@ class DesignConfig:
             raise ConfigError(
                 f"total_n={self.total_n} != burn_in + block_size * num_blocks "
                 f"= {self.burn_in} + {self.block_size} * {self.num_blocks}"
-            )
-        if not 1 <= self.t_min <= self.num_blocks + 1:
-            raise ConfigError(
-                f"t_min must lie in [1, {self.num_blocks + 1}], got {self.t_min}"
             )
 
     @property
@@ -115,7 +103,6 @@ class TrialTrajectory:
     outcomes: tuple[np.ndarray, ...]
     alloc_probs: np.ndarray
     final_posteriors: PosteriorState
-    per_block_posteriors: tuple[PosteriorState, ...] | None = None
 
     def prob(self, t: int) -> float:
         """Allocation probability of block t, for t in 1..num_blocks+1."""
@@ -132,26 +119,15 @@ class TrialTrajectory:
         return total - n1, n1
 
 
-def brar_probability(
-    post_exp: ArmPosterior,
-    post_ctrl: ArmPosterior,
-    prior: PriorSpec,
-    direction: str = LARGER,
-    sds: tuple[float, float] | None = None,
-) -> float:
-    """Untuned BRAR allocation probability for the experimental arm."""
-    return superiority_probability(post_exp, post_ctrl, prior, direction, sds)
-
-
 def tune_probability(pi, t: int, num_blocks: int):
     """Regularize an allocation probability with exponent c = 0.1 + 0.9 t/T.
 
     Accepts scalars or arrays.  The map fixes 0.5, preserves ordering
     relative to 0.5, and at t = T (c = 1) returns the input unchanged.
     """
-    c = 0.1 + 0.9 * t / num_blocks
-    if c == 1.0:
+    if t == num_blocks:
         return pi
+    c = 0.1 + 0.9 * t / num_blocks
     num = np.power(pi, c)
     den = num + np.power(1.0 - np.asarray(pi), c)
     out = num / den
@@ -194,7 +170,6 @@ def simulate_trial(
     model: OutcomeModel,
     prior: PriorSpec,
     rng: np.random.Generator,
-    keep_posterior_history: bool = False,
 ) -> TrialTrajectory:
     """Simulate one complete trial and record its probability trajectory.
 
@@ -229,7 +204,6 @@ def simulate_trial(
     state = initial_posterior(model.kind)
     allocations: list[np.ndarray] = []
     outcomes: list[np.ndarray] = []
-    history: list[PosteriorState] = []
 
     def run_block(arms: np.ndarray) -> None:
         nonlocal state
@@ -240,8 +214,6 @@ def simulate_trial(
             state = update_posterior(state, int(arm), float(y))
         allocations.append(arms)
         outcomes.append(ys)
-        if keep_posterior_history:
-            history.append(state)
 
     if er_labels is not None:
         run_block(er_labels[: design.burn_in])
@@ -250,7 +222,7 @@ def simulate_trial(
 
     probs = np.empty(T + 1, dtype=np.float64)
     for t in range(1, T + 1):
-        pi = brar_probability(state.experimental, state.control, prior, direction, sds)
+        pi = superiority_probability(state.experimental, state.control, prior, direction, sds)
         if tuned:
             pi = tune_probability(pi, t, T)
         probs[t - 1] = pi
@@ -263,47 +235,12 @@ def simulate_trial(
 
     # Hypothetical block T+1: computed from all data, untuned (the tuning
     # schedule ends at c = 1, so the posterior probability is used directly).
-    probs[T] = brar_probability(state.experimental, state.control, prior, direction, sds)
+    probs[T] = superiority_probability(state.experimental, state.control, prior, direction, sds)
 
     return TrialTrajectory(
         allocations=tuple(allocations),
         outcomes=tuple(outcomes),
         alloc_probs=probs,
         final_posteriors=state,
-        per_block_posteriors=tuple(history) if keep_posterior_history else None,
     )
 
-
-def dump_trajectories(
-    path,
-    design: DesignConfig,
-    model: OutcomeModel,
-    prior: PriorSpec,
-    replicates: int,
-    seed: int,
-) -> None:
-    """Write per-block posterior snapshots for a handful of replicates.
-
-    One row per (replicate, block t >= 1): the block's allocation
-    probability and the posterior state after the block's outcomes landed
-    (the final row, at t = num_blocks + 1, repeats the end-of-trial state).
-    Tab-delimited; intended for debugging and external plotting.
-    """
-    from .engine import derive_rng  # local import to avoid a cycle
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("replicate\tt\tpi_t1\tn1\tn0\tsuffstat1\tsuffstat0\n")
-        for rep in range(replicates):
-            traj = simulate_trial(
-                design, model, prior, derive_rng(seed, rep), keep_posterior_history=True
-            )
-            assert traj.per_block_posteriors is not None
-            for t in range(1, design.num_blocks + 2):
-                # index t lands on the state after block t (burn-in is entry 0);
-                # the hypothetical block reuses the final state.
-                snap = traj.per_block_posteriors[min(t, design.num_blocks)]
-                fh.write(
-                    f"{rep}\t{t}\t{traj.prob(t):.10g}"
-                    f"\t{snap.experimental.n}\t{snap.control.n}"
-                    f"\t{snap.experimental.total:.10g}\t{snap.control.total:.10g}\n"
-                )

@@ -29,9 +29,8 @@ from .harness import (
     TestEntry,
     export_report,
     model_label,
-    power_convergence_sweep,
     run_scenario,
-    type1_curve,
+    sample_size_sweep,
 )
 from .models import (
     Bernoulli,
@@ -68,8 +67,10 @@ class RunManifest:
     jobs: tuple[PresetJob, ...]
     output_dir: Path
     threads: int = 1
-    preset: str | None = None
-    config_path: Path | None = None
+
+    def __post_init__(self) -> None:
+        if self.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {self.threads}")
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +100,7 @@ def _parse_design(node, path: str) -> DesignConfig:
     node = _expect_mapping(node, path)
     _check_keys(
         node,
-        {"kind", "total_n", "burn_in", "block_size", "num_blocks", "t_min",
-         "permuted_block_size"},
+        {"kind", "total_n", "burn_in", "block_size", "num_blocks", "permuted_block_size"},
         path,
     )
     kind = node.get("kind", "standard")
@@ -131,7 +131,6 @@ def _parse_design(node, path: str) -> DesignConfig:
             burn_in=burn_in,
             block_size=block_size,
             num_blocks=num_blocks,
-            t_min=int(node.get("t_min", 1)),
             design=design,
         )
     except ConfigError as exc:
@@ -345,7 +344,7 @@ def _summarize(report: PerformanceReport) -> str:
     ]
     width = max((len(r.test) for r in report.rows), default=4)
     for r in report.rows:
-        label = f"{r.family}({r.param_control:g},{r.param_experimental:g})"
+        label = model_label(r.family, r.param_control, r.param_experimental)
         lines.append(
             f"  {label:<28} {r.test:<{width}} [{r.mode}] "
             f"reject={r.rejection_rate:6.4f} (se {r.mc_se:.4f}) "
@@ -366,14 +365,11 @@ def run(manifest: RunManifest) -> int:
     started = time.perf_counter()
     figure_rows: dict[str, list] = {}
     for job in manifest.jobs:
+        null = job.scenario.null_model
         if job.kind == "scenario":
             reports = [run_scenario(job.scenario, threads=manifest.threads)]
-        elif job.kind == "type1-curve":
-            reports = type1_curve(job.scenario, job.n_grid, threads=manifest.threads)
         else:
-            reports = power_convergence_sweep(
-                job.scenario, job.n_grid, threads=manifest.threads
-            )
+            reports = sample_size_sweep(job.scenario, job.n_grid, threads=manifest.threads)
         for report in reports:
             export_report(out / f"{report.scenario}_report.tsv", report)
             if report.critical_values:
@@ -382,7 +378,7 @@ def run(manifest: RunManifest) -> int:
                     report.critical_values,
                     report.replicates_calib,
                     report.seed,
-                    model_label(job.scenario.null_model),
+                    model_label(null.kind, null.param_control, null.param_experimental),
                 )
             print(_summarize(report))
             if job.figure:
@@ -446,16 +442,12 @@ def build_manifest(args) -> RunManifest:
             dataclasses.replace(j, scenario=_apply_overrides(j.scenario, args))
             for j in jobs
         )
-        return RunManifest(
-            jobs=jobs, output_dir=args.out, threads=args.threads, preset=args.preset
-        )
+        return RunManifest(jobs=jobs, output_dir=args.out, threads=args.threads)
     scenarios = load_config(args.config)
     jobs = tuple(
         PresetJob("scenario", _apply_overrides(s, args)) for s in scenarios
     )
-    return RunManifest(
-        jobs=jobs, output_dir=args.out, threads=args.threads, config_path=args.config
-    )
+    return RunManifest(jobs=jobs, output_dir=args.out, threads=args.threads)
 
 
 def main(argv=None) -> int:

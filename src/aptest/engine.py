@@ -19,16 +19,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .allocation import DesignConfig
+from .allocation import DesignConfig, tune_probability
 from .errors import ConfigError
 from .models import (
+    ArmPosterior,
     BetaPrior,
     GammaPrior,
-    LARGER,
     NormalKnownVar,
     OutcomeModel,
-    PROB_FLOOR,
     PriorSpec,
+    beta_posterior,
+    beta_superiority_vec,
+    gamma_posterior,
+    gamma_superiority_vec,
+    normal_posterior,
+    normal_superiority_vec,
+    oriented_probability,
     prior_matches_family,
 )
 from .stats import (
@@ -65,15 +71,14 @@ class BatchResult:
         return self.n_experimental.size
 
 
-def _validate_battery(
+def validate_battery(
     design: DesignConfig, model: OutcomeModel, prior: PriorSpec, tests: tuple[TestSpec, ...]
 ) -> None:
+    """Raise ConfigError unless the engine can simulate this design, prior and battery."""
     if not prior_matches_family(prior, model.kind):
         raise ConfigError(
             f"prior {type(prior).__name__} does not match outcome family {model.kind}"
         )
-    if isinstance(prior, GammaPrior) and abs(prior.shape - round(prior.shape)) > 1e-9:
-        raise ConfigError("batched simulation requires an integer gamma prior shape")
     if isinstance(prior, BetaPrior):
         for v in (prior.alpha, prior.beta):
             if abs(v - round(v)) > 1e-9:
@@ -100,62 +105,6 @@ def _validate_battery(
             )
 
 
-# ---------------------------------------------------------------------------
-# Vectorized superiority probabilities
-# ---------------------------------------------------------------------------
-
-
-def gamma_superiority_vec(a1, b1, a0, b0) -> np.ndarray:
-    """P(X1 > X0) elementwise for gamma posteriors, via the incomplete beta."""
-    return special.betainc(a0, a1, b0 / (b0 + b1))
-
-
-def _beta_sup_sum(A1, B1, A0, B0, table) -> np.ndarray:
-    # sum_{i < A1} Beta(A0+i, B0+B1) / ((B1+i) Beta(1+i, B1) Beta(A0, B0)),
-    # all parameters integer arrays; log-beta values come from a gammaln table.
-    T = table
-    bb = B0 + B1
-    const = T[bb] - T[B1] - (T[A0] + T[B0] - T[A0 + B0])
-    out = np.zeros(A1.shape, dtype=np.float64)
-    imax = int(A1.max())
-    for i in range(imax):
-        log_term = (
-            T[A0 + i]
-            - T[A0 + i + bb]
-            - np.log(B1 + i)
-            - T[1 + i]
-            + T[1 + i + B1]
-            + const
-        )
-        term = np.exp(log_term)
-        if i > 0:
-            term = np.where(i < A1, term, 0.0)
-        out += term
-    return out
-
-
-def beta_superiority_vec(al1, be1, al0, be0, table) -> np.ndarray:
-    """P(X1 > X0) elementwise for beta posteriors with integer parameters.
-
-    Sums over whichever parameter keeps the loop shortest, mirroring
-    x -> 1 - x or swapping arms as needed.
-    """
-    spans = (int(al1.max()), int(al0.max()), int(be0.max()), int(be1.max()))
-    variant = int(np.argmin(spans))
-    if variant == 0:
-        return _beta_sup_sum(al1, be1, al0, be0, table)
-    if variant == 1:
-        return 1.0 - _beta_sup_sum(al0, be0, al1, be1, table)
-    if variant == 2:
-        return _beta_sup_sum(be0, al0, be1, al1, table)
-    return 1.0 - _beta_sup_sum(be1, al1, be0, al0, table)
-
-
-def normal_superiority_vec(m1, v1, m0, v0) -> np.ndarray:
-    """P(mu1 > mu0) elementwise for normal posteriors."""
-    return special.ndtr((m1 - m0) / np.sqrt(v1 + v0))
-
-
 class _PosteriorVec:
     """Chunk-wide sufficient statistics with a family-specific probability map."""
 
@@ -171,41 +120,30 @@ class _PosteriorVec:
         self.s0 = np.zeros(size, dtype=dtype)
         self._table: np.ndarray | None = None
         if isinstance(prior, BetaPrior):
-            top = 2 * int(round(prior.alpha + prior.beta)) + 4 * max_n + 16
+            # integer hyperparameters keep the posterior parameters integer
+            # arrays, which index the log-gamma table
+            self.prior = BetaPrior(round(prior.alpha), round(prior.beta))
+            top = 2 * (self.prior.alpha + self.prior.beta) + 4 * max_n + 16
             self._table = special.gammaln(np.arange(top, dtype=np.float64))
         if isinstance(model.family, NormalKnownVar):
             self._sds = (model.family.sd_control, model.family.sd_experimental)
 
     def superiority(self) -> np.ndarray:
         prior = self.prior
+        exp = ArmPosterior(self.n1, self.s1)
+        ctrl = ArmPosterior(self.n0, self.s0)
         if isinstance(prior, GammaPrior):
-            pi = gamma_superiority_vec(
-                prior.shape + self.n1,
-                prior.rate + self.s1,
-                prior.shape + self.n0,
-                prior.rate + self.s0,
-            )
+            pi = gamma_superiority_vec(*gamma_posterior(prior, exp), *gamma_posterior(prior, ctrl))
         elif isinstance(prior, BetaPrior):
-            a = int(round(prior.alpha))
-            b = int(round(prior.beta))
             pi = beta_superiority_vec(
-                a + self.s1,
-                b + (self.n1 - self.s1),
-                a + self.s0,
-                b + (self.n0 - self.s0),
-                self._table,
+                *beta_posterior(prior, exp), *beta_posterior(prior, ctrl), self._table
             )
         else:
-            tau2 = prior.variance
             sd0, sd1 = self._sds
-            v1 = 1.0 / (1.0 / tau2 + self.n1 / (sd1 * sd1))
-            v0 = 1.0 / (1.0 / tau2 + self.n0 / (sd0 * sd0))
-            m1 = v1 * (prior.mean / tau2 + self.s1 / (sd1 * sd1))
-            m0 = v0 * (prior.mean / tau2 + self.s0 / (sd0 * sd0))
-            pi = normal_superiority_vec(m1, v1, m0, v0)
-        if self.model.better_direction != LARGER:
-            pi = 1.0 - pi
-        return np.clip(pi, PROB_FLOOR, 1.0 - PROB_FLOOR)
+            pi = normal_superiority_vec(
+                *normal_posterior(prior, exp, sd1), *normal_posterior(prior, ctrl, sd0)
+            )
+        return oriented_probability(pi, self.model.better_direction)
 
     def absorb(self, k1: np.ndarray, k0: np.ndarray, rng: np.random.Generator) -> None:
         """Draw and fold in the outcome sums for k1/k0 new subjects per arm."""
@@ -270,10 +208,8 @@ def _simulate_chunk(
     tuned = design.is_tuned
     for t in range(1, T + 1):
         pi = post.superiority()
-        if tuned and t != T:  # exponent is exactly 1 at t = T
-            c = 0.1 + 0.9 * t / T
-            num = np.power(pi, c)
-            pi = num / (num + np.power(1.0 - pi, c))
+        if tuned:
+            pi = tune_probability(pi, t, T)
         record(pi, t)
         if B == 1:
             k1 = (rng.random(size) < pi).astype(np.int64)
@@ -366,7 +302,7 @@ def simulate_batch(
     """
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
-    _validate_battery(design, model, prior, tests)
+    validate_battery(design, model, prior, tests)
     sizes = [
         min(CHUNK_SIZE, replicates - start) for start in range(0, replicates, CHUNK_SIZE)
     ]

@@ -25,9 +25,9 @@ from .calibration import (
     NullSpec,
     calibrate,
 )
-from .engine import BatchResult, simulate_batch
+from .engine import BatchResult, simulate_batch, validate_battery
 from .errors import ConfigError
-from .models import OutcomeModel, PriorSpec, prior_matches_family
+from .models import OutcomeModel, PriorSpec
 from .stats import APTestSpec, TestSpec, nominal_critical_value
 
 log = logging.getLogger(__name__)
@@ -98,8 +98,6 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
-        if not prior_matches_family(self.prior, self.null_model.kind):
-            raise ConfigError("prior family does not match the outcome family")
         for m in self.alternative_models:
             if m.kind != self.null_model.kind:
                 raise ConfigError("alternative models must share the null's family")
@@ -109,6 +107,11 @@ class ScenarioSpec:
                 raise ConfigError(
                     "alternative models must share the null's control arm parameter"
                 )
+        labels = [_label_of(m) for m in self.model_grid()]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(
+                f"model labels must be unique (6 significant digits): {labels}"
+            )
         names = [e.name for e in self.tests]
         if len(set(names)) != len(names):
             raise ConfigError(f"test names must be unique within a scenario: {names}")
@@ -122,6 +125,11 @@ class ScenarioSpec:
             object.__setattr__(
                 self, "er_design", equal_randomization_design(self.design.total_n)
             )
+        # the engine's checks, run here so a config fails before any simulation
+        for design, on_er in ((self.design, False), (self.er_design, True)):
+            specs = tuple(e.spec for e in self.tests if e.on_er == on_er)
+            if specs or not on_er:
+                validate_battery(design, self.null_model, self.prior, specs)
 
     def model_grid(self) -> tuple[OutcomeModel, ...]:
         return (self.null_model, *self.alternative_models)
@@ -198,22 +206,24 @@ class PerformanceReport:
     wall_time: float = 0.0
     version: str = __version__
 
-    def row(self, model_label: str, test: str) -> ReportRow:
+    def row(self, label: str, test: str) -> ReportRow:
         for r in self.rows:
-            if r.test == test and _model_label_of_row(r) == model_label:
+            row_label = model_label(r.family, r.param_control, r.param_experimental)
+            if r.test == test and row_label == label:
                 return r
-        raise KeyError(f"no row for model {model_label!r}, test {test!r}")
+        raise KeyError(f"no row for model {label!r}, test {test!r}")
 
-    def rejection_rate(self, model_label: str, test: str) -> float:
-        return self.row(model_label, test).rejection_rate
-
-
-def model_label(model: OutcomeModel) -> str:
-    return f"{model.kind}({model.param_control:g},{model.param_experimental:g})"
+    def rejection_rate(self, label: str, test: str) -> float:
+        return self.row(label, test).rejection_rate
 
 
-def _model_label_of_row(row: ReportRow) -> str:
-    return f"{row.family}({row.param_control:g},{row.param_experimental:g})"
+def model_label(family: str, param_control: float, param_experimental: float) -> str:
+    """Short model name, e.g. ``exponential(1,1.8)``; unique within a scenario."""
+    return f"{family}({param_control:g},{param_experimental:g})"
+
+
+def _label_of(model: OutcomeModel) -> str:
+    return model_label(model.kind, model.param_control, model.param_experimental)
 
 
 def _mc_se(rate: float, replicates: int) -> float:
@@ -249,7 +259,7 @@ def run_scenario(spec: ScenarioSpec, threads: int = 1) -> PerformanceReport:
     rows: list[ReportRow] = []
     benefit: dict[tuple[str, str], BenefitSummary] = {}
     for mi, model in enumerate(spec.model_grid()):
-        label = model_label(model)
+        label = _label_of(model)
         for role, design, entries in roles:
             if not entries and role != _PRIMARY_ROLE:
                 continue  # primary runs regardless, so benefit is always reported
@@ -317,37 +327,14 @@ def _reported_outcome(b: BenefitSummary, model: OutcomeModel) -> float:
     return b.mean_total_outcome if model.kind == "bernoulli" else b.mean_outcome
 
 
-def type1_curve(
+def sample_size_sweep(
     template: ScenarioSpec, n_grid: tuple[int, ...], threads: int = 1
 ) -> list[PerformanceReport]:
-    """Null rejection rates over a sample-size grid of fully sequential designs.
+    """Run the template over a sample-size grid, recalibrating at every N.
 
-    Each N gets its own design (block size 1, the template's burn-in) and
-    its own calibration; alternatives in the template are dropped.
+    Each N gets its own fully sequential design (block size 1, the
+    template's burn-in); the template's null and alternatives are kept.
     """
-    reports = []
-    for n in n_grid:
-        design = dataclasses.replace(
-            template.design,
-            total_n=n,
-            block_size=1,
-            num_blocks=n - template.design.burn_in,
-        )
-        spec = dataclasses.replace(
-            template,
-            name=f"{template.name}-n{n}",
-            design=design,
-            er_design=None,
-            alternative_models=(),
-        )
-        reports.append(run_scenario(spec, threads=threads))
-    return reports
-
-
-def power_convergence_sweep(
-    template: ScenarioSpec, n_grid: tuple[int, ...], threads: int = 1
-) -> list[PerformanceReport]:
-    """Power over a sample-size grid, recalibrating at every N."""
     reports = []
     for n in n_grid:
         design = dataclasses.replace(

@@ -8,9 +8,10 @@ trial is summarized by per-arm counts and sufficient statistics.
 
 The quantity that drives response-adaptive allocation is the posterior
 probability that the experimental arm's parameter beats the control arm's.
-It is computed in closed form whenever the posterior parameters allow it
-(integer gamma/beta parameters, any normal posterior) and by adaptive
-quadrature otherwise.
+It is computed in closed form for every gamma and normal posterior and for
+beta posteriors with an integer parameter, and by adaptive quadrature for
+the remaining beta posteriors.  The elementwise kernels here serve both the
+single-trial path and the batched engine.
 """
 
 from __future__ import annotations
@@ -188,9 +189,6 @@ class NormalPrior:
 
 PriorSpec = Union[GammaPrior, BetaPrior, NormalPrior]
 
-#: Vague default prior for the normal family (mean 0, variance 1e6).
-VAGUE_NORMAL_PRIOR = NormalPrior(mean=0.0, variance=1e6)
-
 
 def prior_matches_family(prior: PriorSpec, kind: str) -> bool:
     return (
@@ -309,18 +307,75 @@ def normal_posterior(
 # ---------------------------------------------------------------------------
 
 
+def gamma_superiority_vec(a1, b1, a0, b0):
+    """P(X1 > X0) elementwise for X1 ~ Gamma(a1, b1), X0 ~ Gamma(a0, b0).
+
+    Equals the regularized incomplete beta I_{b0/(b0+b1)}(a0, a1), which holds
+    for any real shapes (for an integer shape it is the negative-binomial tail
+    sum).
+    """
+    return special.betainc(a0, a1, b0 / (b0 + b1))
+
+
+def _beta_sup_sum(A1, B1, A0, B0, table) -> np.ndarray:
+    # sum_{i < A1} Beta(A0+i, B0+B1) / ((B1+i) Beta(1+i, B1) Beta(A0, B0)),
+    # all parameters integer arrays; log-beta values come from a gammaln table.
+    T = table
+    bb = B0 + B1
+    const = T[bb] - T[B1] - (T[A0] + T[B0] - T[A0 + B0])
+    out = np.zeros(A1.shape, dtype=np.float64)
+    imax = int(A1.max())
+    for i in range(imax):
+        log_term = (
+            T[A0 + i]
+            - T[A0 + i + bb]
+            - np.log(B1 + i)
+            - T[1 + i]
+            + T[1 + i + B1]
+            + const
+        )
+        term = np.exp(log_term)
+        if i > 0:
+            term = np.where(i < A1, term, 0.0)
+        out += term
+    return out
+
+
+def beta_superiority_vec(al1, be1, al0, be0, table) -> np.ndarray:
+    """P(X1 > X0) elementwise for beta posteriors with integer parameters.
+
+    ``table`` holds gammaln(0..M) for M beyond every parameter sum.  Sums over
+    whichever parameter keeps the loop shortest, mirroring x -> 1 - x or
+    swapping arms as needed.
+    """
+    spans = (int(al1.max()), int(al0.max()), int(be0.max()), int(be1.max()))
+    variant = int(np.argmin(spans))
+    if variant == 0:
+        return _beta_sup_sum(al1, be1, al0, be0, table)
+    if variant == 1:
+        return 1.0 - _beta_sup_sum(al0, be0, al1, be1, table)
+    if variant == 2:
+        return _beta_sup_sum(be0, al0, be1, al1, table)
+    return 1.0 - _beta_sup_sum(be1, al1, be0, al0, table)
+
+
+def normal_superiority_vec(m1, v1, m0, v0):
+    """P(mu1 > mu0) elementwise for normal posteriors N(m1, v1), N(m0, v0)."""
+    return special.ndtr((m1 - m0) / np.sqrt(v1 + v0))
+
+
+def oriented_probability(larger, direction: str):
+    """Turn P(experimental parameter larger) into P(experimental better).
+
+    Flips the probability when smaller is better and clamps it to the open
+    interval (0, 1); scalars and arrays alike.
+    """
+    p = larger if direction == LARGER else 1.0 - larger
+    return np.minimum(np.maximum(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
+
+
 def _is_integral(x: float) -> bool:
     return abs(x - round(x)) < 1e-9
-
-
-def gamma_superiority_closed(a1: float, b1: float, a0: float, b0: float) -> float:
-    """P(X1 > X0) for X1 ~ Gamma(a1, b1), X0 ~ Gamma(a0, b0).
-
-    Equals the negative-binomial tail sum over the integer shape, expressed
-    through the regularized incomplete beta function:
-    P = I_{b0/(b0+b1)}(a0, a1).
-    """
-    return float(special.betainc(a0, a1, b0 / (b0 + b1)))
 
 
 def _beta_superiority_core(a1: float, b1: float, a0: float, b0: float) -> float:
@@ -338,6 +393,8 @@ def _beta_superiority_core(a1: float, b1: float, a0: float, b0: float) -> float:
 def beta_superiority_closed(a1: float, b1: float, a0: float, b0: float) -> float:
     """P(X1 > X0) for beta posteriors via the finite sum over an integer parameter.
 
+    The scalar counterpart of ``beta_superiority_vec`` and the reference it is
+    tested against; on a single element it is also the faster of the two.
     Any one of the four parameters being an integer suffices; the sum runs
     over the smallest integral one (mirroring x -> 1-x or swapping the arms
     as needed).
@@ -390,11 +447,11 @@ def superiority_probability(
 ) -> float:
     """Posterior probability that the experimental arm's parameter is better.
 
-    Exact closed forms are used for gamma posteriors with an integer shape,
-    beta posteriors with an integer parameter, and all normal posteriors;
-    otherwise the probability is computed by adaptive quadrature with
-    absolute tolerance 1e-10.  For the normal family ``sds`` must supply the
-    known (control, experimental) outcome standard deviations.
+    Gamma and normal posteriors use their closed forms for any parameters;
+    beta posteriors use the finite sum when a parameter is an integer and
+    adaptive quadrature (absolute tolerance 1e-10) otherwise.  For the normal
+    family ``sds`` must supply the known (control, experimental) outcome
+    standard deviations.
 
     The returned value is clamped to the open interval (0, 1).
     """
@@ -403,12 +460,7 @@ def superiority_probability(
         a0, b0 = gamma_posterior(prior, post_ctrl)
         if b1 <= 0 or b0 <= 0:
             raise DataError("gamma posterior rate is not positive; need data or a proper prior")
-        if _is_integral(a1) or _is_integral(a0):
-            larger = gamma_superiority_closed(a1, b1, a0, b0)
-        else:
-            larger = _quadrature_superiority(
-                stats.gamma(a1, scale=1.0 / b1), stats.gamma(a0, scale=1.0 / b0)
-            )
+        larger = gamma_superiority_vec(a1, b1, a0, b0)
     elif isinstance(prior, BetaPrior):
         a1, b1 = beta_posterior(prior, post_exp)
         a0, b0 = beta_posterior(prior, post_ctrl)
@@ -419,11 +471,10 @@ def superiority_probability(
     elif isinstance(prior, NormalPrior):
         if sds is None:
             raise ConfigError("normal superiority requires known outcome sds")
-        m1, v1 = normal_posterior(prior, post_exp, sds[1])
-        m0, v0 = normal_posterior(prior, post_ctrl, sds[0])
-        larger = float(special.ndtr((m1 - m0) / math.sqrt(v1 + v0)))
+        larger = normal_superiority_vec(
+            *normal_posterior(prior, post_exp, sds[1]),
+            *normal_posterior(prior, post_ctrl, sds[0]),
+        )
     else:
         raise ConfigError(f"unknown prior type {type(prior).__name__}")
-
-    prob = larger if direction == LARGER else 1.0 - larger
-    return float(min(max(prob, PROB_FLOOR), 1.0 - PROB_FLOOR))
+    return float(oriented_probability(larger, direction))

@@ -49,13 +49,13 @@ EMPIRICAL_P_EXPERIMENTAL = 0.9
 class PresetJob:
     """One unit of work inside a preset: a scenario or a sample-size sweep."""
 
-    kind: str  # "scenario" | "type1-curve" | "power-sweep"
+    kind: str  # "scenario" | "sweep"
     scenario: ScenarioSpec
     n_grid: tuple[int, ...] = ()
     figure: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in ("scenario", "type1-curve", "power-sweep"):
+        if self.kind not in ("scenario", "sweep"):
             raise ConfigError(f"unknown preset job kind {self.kind!r}")
         if self.kind != "scenario" and not self.n_grid:
             raise ConfigError("sweep jobs need a sample-size grid")
@@ -197,7 +197,7 @@ def type1_curve_preset(seed: int = 0, desk: bool = False) -> tuple[PresetJob, ..
     for label, design in _brar_designs(total_n=100, burn_in=10, block_size=1):
         jobs.append(
             PresetJob(
-                "type1-curve",
+                "sweep",
                 ScenarioSpec(
                     name=f"type1-{label}",
                     design=design,
@@ -225,7 +225,7 @@ def large_sample(seed: int = 0, desk: bool = False) -> tuple[PresetJob, ...]:
         _, design = _brar_designs(total_n=100, burn_in=10, block_size=1)[0]
         jobs.append(
             PresetJob(
-                "power-sweep",
+                "sweep",
                 ScenarioSpec(
                     name=f"large-sample-rate{rate:g}",
                     design=design,

@@ -104,14 +104,6 @@ class APTestSpec:
     def integer_valued(self) -> bool:
         return isinstance(self.f, Indicator) and isinstance(self.w, Ones)
 
-    def max_statistic(self, num_blocks: int) -> float:
-        """Largest attainable statistic for a trial with the given block count.
-
-        Both transforms are bounded by 1 per block, so the bound is the
-        weight total (attained only by the indicator transform).
-        """
-        return float(block_weights(self, num_blocks).sum())
-
 
 def original_ap_test(t_min: int = 1, name: str = "original") -> APTestSpec:
     return APTestSpec(name=name, f=Indicator(), w=Ones(), t_min=t_min)
@@ -175,13 +167,9 @@ def ap_statistic(traj: TrialTrajectory, spec: APTestSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
-class LRResult(NamedTuple):
-    statistic: float
-    p_value: float
-    degenerate: bool
+class ComparatorResult(NamedTuple):
+    """One-sided comparator test of one trial; degenerate results never reject."""
 
-
-class ZResult(NamedTuple):
     statistic: float
     p_value: float
     degenerate: bool
@@ -210,7 +198,7 @@ def lr_exponential_from_counts(n1, s1, n0, s0):
     return stat, degenerate
 
 
-def lr_exponential(traj: TrialTrajectory) -> LRResult:
+def lr_exponential(traj: TrialTrajectory) -> ComparatorResult:
     """Two-sample exponential LR test of "experimental rate larger".
 
     The one-sided statistic is the signed root of the deviance at the
@@ -229,8 +217,8 @@ def lr_exponential(traj: TrialTrajectory) -> LRResult:
     )
     stat = float(stat)
     if bool(degenerate):
-        return LRResult(-math.inf, 1.0, True)
-    return LRResult(stat, float(special.ndtr(-stat)), False)
+        return ComparatorResult(-math.inf, 1.0, True)
+    return ComparatorResult(stat, float(special.ndtr(-stat)), False)
 
 
 def fisher_exact_one_sided(n1: int, s1: int, n0: int, s0: int) -> float:
@@ -269,7 +257,7 @@ def z_statistic_from_counts(n1, s1, n0, s0, sd0: float, sd1: float):
     return z, degenerate
 
 
-def z_test_normal(traj: TrialTrajectory, sd0: float, sd1: float) -> ZResult:
+def z_test_normal(traj: TrialTrajectory, sd0: float, sd1: float) -> ComparatorResult:
     """Two-sample known-variance Z test of "experimental mean larger"."""
     if sd0 <= 0 or sd1 <= 0:
         raise ConfigError("standard deviations must be positive")
@@ -286,8 +274,8 @@ def z_test_normal(traj: TrialTrajectory, sd0: float, sd1: float) -> ZResult:
     )
     z = float(z)
     if bool(degenerate):
-        return ZResult(-math.inf, 1.0, True)
-    return ZResult(z, float(special.ndtr(-z)), False)
+        return ComparatorResult(-math.inf, 1.0, True)
+    return ComparatorResult(z, float(special.ndtr(-z)), False)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run, so tier-1 stays
+# deterministic; no example database is written, and there is no per-example
+# deadline because the quadrature oracle's run time varies with its inputs.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

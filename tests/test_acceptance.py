@@ -30,7 +30,7 @@ from aptest.harness import (
     TestEntry,
     patient_benefit,
     run_scenario,
-    type1_curve,
+    sample_size_sweep,
 )
 from aptest.models import (
     ArmPosterior,
@@ -42,7 +42,7 @@ from aptest.models import (
     NormalPrior,
     OutcomeModel,
     beta_superiority_closed,
-    gamma_superiority_closed,
+    gamma_superiority_vec,
     superiority_probability,
 )
 from aptest.presets import build_preset
@@ -289,7 +289,7 @@ def test_criterion_5_type1_curve_shape():
         seed=SEED,
     )
     grid = (100, 200, 500, 1000)
-    reports = type1_curve(template, grid)
+    reports = sample_size_sweep(template, grid)
     checks = []
     rates = []
     for n, report in zip(grid, reports):
@@ -485,7 +485,7 @@ def test_criterion_7_oracle_equivalence():
         a1, a0 = (int(v) for v in rng.integers(1, 100, 2))
         b1, b0 = (float(v) for v in rng.uniform(0.01, 40.0, 2))
         diff = abs(
-            gamma_superiority_closed(a1, b1, a0, b0)
+            gamma_superiority_vec(a1, b1, a0, b0)
             - quadrature_gamma_superiority(a1, b1, a0, b0)
         )
         worst_gamma = max(worst_gamma, diff)

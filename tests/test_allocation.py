@@ -42,13 +42,6 @@ class TestDesignConfig:
         with pytest.raises(ConfigError):
             DesignConfig(100, 0, 1, 100)
 
-    def test_t_min_range(self):
-        DesignConfig(100, 10, 1, 90, t_min=91)
-        with pytest.raises(ConfigError):
-            DesignConfig(100, 10, 1, 90, t_min=92)
-        with pytest.raises(ConfigError):
-            DesignConfig(100, 10, 1, 90, t_min=0)
-
 
 class TestTuneProbability:
     def test_half_is_fixed_point(self):
@@ -56,8 +49,10 @@ class TestTuneProbability:
             assert tune_probability(0.5, t, T) == 0.5
 
     def test_identity_at_final_block(self):
-        for pi in (0.123, 0.5, 0.987):
-            assert tune_probability(pi, 45, 45) == pi
+        # 0.1 + 0.9 * T / T rounds away from 1.0 for T = 9, 13 and 109
+        for T in (9, 13, 45, 109):
+            for pi in (0.123, 0.5, 0.987):
+                assert tune_probability(pi, T, T) == pi
 
     def test_early_blocks_shrink_toward_half(self):
         # c = 0.1 at t/T -> 0: output = 0.9^0.1 / (0.9^0.1 + 0.1^0.1)
@@ -158,10 +153,12 @@ class TestSimulateTrial:
         """Same seed: the tuned trajectory's recorded probabilities stay
         closer to 0.5 than untuned values from the same posterior state."""
         design = small_design(TunedBRAR())
-        traj = simulate_trial(design, MODEL_EFFECT, PRIOR, derive_rng(5), True)
-        T = design.num_blocks
-        for t in range(1, T + 1):
-            state = traj.per_block_posteriors[t - 1]
+        traj = simulate_trial(design, MODEL_EFFECT, PRIOR, derive_rng(5))
+        state = initial_posterior("exponential")
+        for t in range(1, design.num_blocks + 1):
+            # state holds blocks 0..t-1, the data block t was allocated on
+            for arm, y in zip(traj.allocations[t - 1], traj.outcomes[t - 1]):
+                state = update_posterior(state, int(arm), float(y))
             raw = superiority_probability(state.experimental, state.control, PRIOR)
             assert abs(traj.prob(t) - 0.5) <= abs(raw - 0.5) + 1e-15
 

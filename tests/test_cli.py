@@ -59,6 +59,12 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"scenarios\[0\].alfa"):
             load_config(path)
 
+    def test_design_t_min_is_unknown(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text(GOOD_CONFIG.replace("block_size: 2}", "block_size: 2, t_min: 5}"))
+        with pytest.raises(ConfigError, match=r"scenarios\[0\].design.t_min: unknown key"):
+            load_config(path)
+
     def test_prior_family_mismatch_reported(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text(GOOD_CONFIG.replace("kind: gamma, shape: 1.0, rate: 0.001",
@@ -173,6 +179,45 @@ class TestEndToEnd:
         config = tmp_path / "c.yaml"
         config.write_text(GOOD_CONFIG.replace("alpha: 0.05", "alfa: 0.05"))
         assert main(["--config", str(config), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "second_replace",
+        [
+            # the batched engine needs integer beta prior parameters
+            (
+                ("family: exponential, control: 1.0, experimental: [1.8]",
+                 "family: bernoulli, control: 0.5, experimental: [0.7]"),
+                ("kind: gamma, shape: 1.0, rate: 0.001", "kind: beta, alpha: 0.5, beta: 0.5"),
+                ("comparator: lr", "comparator: fisher"),
+            ),
+            # custom weights cover blocks 1..13 here, so 3 values are too few
+            (("- {ap: lastblock}", "- {ap: custom, name: w3, weights: [1, 1, 1]}"),),
+        ],
+    )
+    def test_later_scenario_fails_before_any_output(self, tmp_path, capsys, second_replace):
+        second = GOOD_CONFIG.replace("scenarios:\n", "").replace("name: demo", "name: bad")
+        for old, new in second_replace:
+            assert old in second
+            second = second.replace(old, new)
+        config = tmp_path / "c.yaml"
+        config.write_text(GOOD_CONFIG + second)
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert "scenarios[1]" in capsys.readouterr().err
+        assert not list(out.glob("*.tsv"))
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_rejected(self, tmp_path, threads):
+        config = tmp_path / "c.yaml"
+        config.write_text(GOOD_CONFIG)
+        argv = ["--config", str(config), "--out", str(tmp_path / "out"), "--threads", threads]
+        assert main(argv) == EXIT_CONFIG
+
+    def test_non_integer_gamma_prior_runs(self, tmp_path):
+        config = tmp_path / "c.yaml"
+        config.write_text(GOOD_CONFIG.replace("shape: 1.0", "shape: 0.5"))
+        assert main(["--config", str(config), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "demo_report.tsv").exists()
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

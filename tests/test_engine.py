@@ -6,13 +6,7 @@ import pytest
 from scipy import special
 
 from aptest.allocation import DesignConfig, TunedBRAR, simulate_trial
-from aptest.engine import (
-    CHUNK_SIZE,
-    beta_superiority_vec,
-    derive_rng,
-    gamma_superiority_vec,
-    simulate_batch,
-)
+from aptest.engine import CHUNK_SIZE, derive_rng, simulate_batch
 from aptest.errors import ConfigError
 from aptest.models import (
     Bernoulli,
@@ -23,7 +17,8 @@ from aptest.models import (
     NormalPrior,
     OutcomeModel,
     beta_superiority_closed,
-    gamma_superiority_closed,
+    beta_superiority_vec,
+    gamma_superiority_vec,
 )
 from aptest.stats import ComparatorTest, lastblock_ap_test, original_ap_test, timedirect_ap_test
 
@@ -38,7 +33,7 @@ class TestVectorizedSuperiority:
         b0 = rng.uniform(0.001, 50.0, 300)
         vec = gamma_superiority_vec(a1, b1, a0, b0)
         for i in range(300):
-            assert vec[i] == gamma_superiority_closed(a1[i], b1[i], a0[i], b0[i])
+            assert vec[i] == gamma_superiority_vec(a1[i], b1[i], a0[i], b0[i])
 
     def test_beta_matches_scalar(self, rng):
         al1 = rng.integers(1, 80, 300)
@@ -109,12 +104,6 @@ class TestBatteryValidation:
         model = OutcomeModel(Exponential(1.0, 1.0))
         with pytest.raises(ConfigError):
             simulate_batch(design, model, PRIOR, (ComparatorTest("fisher", "f"),), 100, seed=0)
-
-    def test_non_integer_gamma_shape_rejected(self):
-        design = DesignConfig(20, 10, 1, 10)
-        model = OutcomeModel(Exponential(1.0, 1.0))
-        with pytest.raises(ConfigError):
-            simulate_batch(design, model, GammaPrior(1.5, 0.001), (), 100, seed=0)
 
 
 class TestAgainstPerTrialSimulation:
@@ -189,6 +178,21 @@ class TestAgainstPerTrialSimulation:
             traj = simulate_trial(design, model, prior, derive_rng(996, i))
             finals[i] = traj.alloc_probs[-1]
         se = finals.std() / np.sqrt(reps)
+        assert abs(finals.mean() - batch.statistics["lastblock"].mean()) < 5 * se
+
+    def test_non_integer_gamma_prior_agreement(self):
+        from tests.test_properties import engine_superiority
+
+        design = DesignConfig(24, 4, 4, 5)
+        model = OutcomeModel(Exponential(1.0, 1.8))
+        prior = GammaPrior(0.5, 0.001)
+        batch = simulate_batch(design, model, prior, (lastblock_ap_test(),), 20000, seed=4)
+        trajs = [simulate_trial(design, model, prior, derive_rng(995, i)) for i in range(1000)]
+        finals = np.array([traj.alloc_probs[-1] for traj in trajs])
+        # the engine's map on the scalar trials' final states
+        states = [(t.final_posteriors.experimental, t.final_posteriors.control) for t in trajs]
+        assert np.max(np.abs(engine_superiority(model, prior, states) - finals)) < 1e-12
+        se = finals.std() / np.sqrt(finals.size)
         assert abs(finals.mean() - batch.statistics["lastblock"].mean()) < 5 * se
 
     def test_er_counts_match_permuted_blocks(self):

@@ -13,11 +13,10 @@ from aptest.harness import (
     export_report,
     model_label,
     patient_benefit,
-    power_convergence_sweep,
     run_scenario,
-    type1_curve,
+    sample_size_sweep,
 )
-from aptest.models import Bernoulli, Exponential, GammaPrior, OutcomeModel
+from aptest.models import Bernoulli, BetaPrior, Exponential, GammaPrior, OutcomeModel
 from aptest.stats import ComparatorTest, lastblock_ap_test, original_ap_test, timedirect_ap_test
 
 PRIOR = GammaPrior(1.0, 0.001)
@@ -65,6 +64,25 @@ class TestScenarioValidation:
         assert spec.er_design is not None
         assert spec.er_design.total_n == 30
         assert not spec.er_design.is_adaptive
+
+    def test_colliding_model_labels_rejected(self):
+        # both print as exponential(1,1.8) at 6 significant digits
+        near = OutcomeModel(Exponential(1.0, 1.8000001))
+        with pytest.raises(ConfigError, match="label"):
+            tiny_scenario(alternative_models=(OutcomeModel(Exponential(1.0, 1.8)), near))
+        with pytest.raises(ConfigError, match="label"):
+            tiny_scenario(alternative_models=(OutcomeModel(Exponential(1.0, 1.0000001)),))
+
+    def test_battery_checked_at_construction(self):
+        with pytest.raises(ConfigError, match="integer beta prior"):
+            tiny_scenario(
+                prior=BetaPrior(0.5, 0.5),
+                null_model=OutcomeModel(Bernoulli(0.5, 0.5)),
+                alternative_models=(),
+                tests=(TestEntry(lastblock_ap_test()),),
+            )
+        with pytest.raises(ConfigError, match="does not apply"):
+            tiny_scenario(tests=(TestEntry(ComparatorTest("z", "z-er"), on_er=True),))
 
     def test_ap_test_on_er_rejected(self):
         with pytest.raises(ConfigError):
@@ -150,11 +168,12 @@ class TestSweeps:
     def test_type1_curve_resizes_designs(self):
         template = tiny_scenario(
             design=DesignConfig(20, 6, 1, 14),
+            alternative_models=(),
             tests=(TestEntry(ComparatorTest("lr", "lr"), mode="nominal"),),
             replicates_eval=2000,
             replicates_calib=2000,
         )
-        reports = type1_curve(template, (20, 30), threads=1)
+        reports = sample_size_sweep(template, (20, 30), threads=1)
         assert [r.rows[0].total_n for r in reports] == [20, 30]
         for r in reports:
             assert all(row.param_control == row.param_experimental for row in r.rows)
@@ -166,7 +185,7 @@ class TestSweeps:
             replicates_eval=2000,
             replicates_calib=5000,
         )
-        reports = power_convergence_sweep(template, (20, 40), threads=1)
+        reports = sample_size_sweep(template, (20, 40), threads=1)
         powers = [r.rejection_rate("exponential(1,1.8)", "lastblock") for r in reports]
         assert len(powers) == 2
         assert powers[1] > powers[0] - 3 * 0.011  # non-decreasing within MC noise
@@ -186,5 +205,5 @@ class TestExport:
         assert "replicates_eval=1000" in text.splitlines()[0]
 
     def test_model_label_formatting(self):
-        assert model_label(NULL) == "exponential(1,1)"
-        assert model_label(OutcomeModel(Bernoulli(0.7, 0.9))) == "bernoulli(0.7,0.9)"
+        assert model_label("exponential", 1.0, 1.0) == "exponential(1,1)"
+        assert model_label("bernoulli", 0.7, 0.9) == "bernoulli(0.7,0.9)"

@@ -1,4 +1,4 @@
-"""Remaining public surfaces: delegation ops, dumps, export headers,
+"""Remaining public surfaces: allocation probabilities, export headers,
 mirror symmetry, and the runtime scaling sanity check."""
 
 import math
@@ -6,12 +6,7 @@ import time
 
 import pytest
 
-from aptest.allocation import (
-    DesignConfig,
-    brar_probability,
-    dump_trajectories,
-    simulate_trial,
-)
+from aptest.allocation import DesignConfig, simulate_trial
 from aptest.calibration import NullSpec, calibrate, export_critical_values
 from aptest.engine import derive_rng, simulate_batch
 from aptest.harness import ScenarioSpec, TestEntry, run_scenario
@@ -23,6 +18,7 @@ from aptest.models import (
     NormalKnownVar,
     NormalPrior,
     OutcomeModel,
+    superiority_probability,
 )
 from aptest.stats import (
     lastblock_ap_test,
@@ -36,11 +32,11 @@ PRIOR = GammaPrior(1.0, 0.001)
 
 class TestBrarProbability:
     def test_no_data_gives_half(self):
-        p = brar_probability(ArmPosterior(0, 0.0), ArmPosterior(0, 0.0), PRIOR)
+        p = superiority_probability(ArmPosterior(0, 0.0), ArmPosterior(0, 0.0), PRIOR)
         assert p == 0.5
 
     def test_overwhelming_evidence(self):
-        p = brar_probability(
+        p = superiority_probability(
             ArmPosterior(50, 50.0), ArmPosterior(50, 0.0), BetaPrior(1.0, 1.0)
         )
         assert p > 0.999
@@ -48,8 +44,8 @@ class TestBrarProbability:
     def test_swapping_arms_mirrors(self):
         a = ArmPosterior(12, 9.0)
         b = ArmPosterior(15, 20.5)
-        p = brar_probability(a, b, PRIOR)
-        q = brar_probability(b, a, PRIOR)
+        p = superiority_probability(a, b, PRIOR)
+        q = superiority_probability(b, a, PRIOR)
         assert abs(p + q - 1.0) < 1e-12
 
 
@@ -108,22 +104,6 @@ class TestMirrorSymmetry:
 
 
 class TestDumps:
-    def test_trajectory_dump_schema(self, tmp_path):
-        path = tmp_path / "dump.tsv"
-        design = DesignConfig(20, 6, 2, 7)
-        dump_trajectories(
-            path, design, OutcomeModel(Exponential(1.0, 1.5)), PRIOR,
-            replicates=3, seed=12,
-        )
-        lines = path.read_text().splitlines()
-        assert lines[0] == "replicate\tt\tpi_t1\tn1\tn0\tsuffstat1\tsuffstat0"
-        assert len(lines) == 1 + 3 * (design.num_blocks + 1)
-        first = lines[1].split("\t")
-        assert first[0] == "0" and first[1] == "1"
-        assert 0.0 < float(first[2]) < 1.0
-        last = lines[-1].split("\t")
-        assert int(last[3]) + int(last[4]) == design.total_n
-
     def test_critical_value_export_header(self, tmp_path):
         design = DesignConfig(20, 6, 2, 7)
         null = NullSpec(

@@ -22,7 +22,7 @@ from aptest.models import (
     NormalPrior,
     OutcomeModel,
     beta_superiority_closed,
-    gamma_superiority_closed,
+    gamma_superiority_vec,
     initial_posterior,
     sample_outcome,
     superiority_probability,
@@ -150,7 +150,7 @@ class TestGammaSuperiority:
     def test_rate_one_vs_rate_two(self):
         # P(X > Y), X ~ Gamma(1,1), Y ~ Gamma(1,2): integral of
         # (1 - exp(-2x)) exp(-x) dx = 1 - 1/3 = 2/3.
-        assert abs(gamma_superiority_closed(1, 1, 1, 2) - 2.0 / 3.0) < 1e-14
+        assert abs(gamma_superiority_vec(1, 1, 1, 2) - 2.0 / 3.0) < 1e-14
 
     def test_rate_one_vs_rate_two_monte_carlo(self, rng):
         x = rng.gamma(1.0, 1.0, 10**7)
@@ -163,10 +163,10 @@ class TestGammaSuperiority:
             a0 = int(rng.integers(1, 80))
             b1 = float(rng.uniform(0.05, 30.0))
             b0 = float(rng.uniform(0.05, 30.0))
-            closed = gamma_superiority_closed(a1, b1, a0, b0)
+            closed = gamma_superiority_vec(a1, b1, a0, b0)
             assert abs(closed - quadrature_gamma_superiority(a1, b1, a0, b0)) < 1e-8
 
-    def test_non_integer_shape_uses_quadrature(self):
+    def test_non_integer_shape_matches_quadrature(self):
         prior = GammaPrior(1.5, 1.0)
         p = superiority_probability(
             ArmPosterior(2, 1.0), ArmPosterior(2, 2.0), prior
