@@ -40,7 +40,6 @@ from .models import (
 from .stats import (
     APTestSpec,
     ComparatorTest,
-    TestDecisionRecord,
     ap_statistic,
     fisher_exact_one_sided,
     lastblock_ap_test,

@@ -61,11 +61,6 @@ class NullDistribution:
 
     test_name: str
     samples: np.ndarray
-    replicates: int
-
-    def __post_init__(self) -> None:
-        if self.samples.size != self.replicates:
-            raise ConfigError("sample count must equal the replicate count")
 
 
 @dataclass(frozen=True)
@@ -105,7 +100,7 @@ def simulate_null_distribution(
         threads=threads,
     )
     return {
-        name: NullDistribution(name, np.sort(values), null.replicates)
+        name: NullDistribution(name, np.sort(values))
         for name, values in batch.statistics.items()
     }
 

@@ -24,13 +24,14 @@ from .errors import ConfigError, NumericalError
 from .harness import (
     CALIBRATED,
     NOMINAL,
+    REPORT_COLUMNS,
     PerformanceReport,
     ScenarioSpec,
     TestEntry,
     export_report,
     model_label,
     run_scenario,
-    sample_size_sweep,
+    write_rows,
 )
 from .models import (
     Bernoulli,
@@ -90,6 +91,13 @@ def _check_keys(node: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(f"{path}.{key}: unknown key")
 
 
+def _reject(node: dict, keys: tuple[str, ...], path: str, reason: str) -> None:
+    # keys that are known but ignored by the kind chosen in this node
+    for key in keys:
+        if key in node:
+            raise ConfigError(f"{path}.{key}: {reason}")
+
+
 def _require(node: dict, key: str, path: str):
     if key not in node:
         raise ConfigError(f"{path}.{key}: missing required key")
@@ -98,39 +106,30 @@ def _require(node: dict, key: str, path: str):
 
 def _parse_design(node, path: str) -> DesignConfig:
     node = _expect_mapping(node, path)
-    _check_keys(
-        node,
-        {"kind", "total_n", "burn_in", "block_size", "num_blocks", "permuted_block_size"},
-        path,
-    )
+    _check_keys(node, {"kind", "total_n", "burn_in", "block_size", "permuted_block_size"}, path)
     kind = node.get("kind", "standard")
-    if kind == "standard":
-        design = StandardBRAR()
-    elif kind == "tuned":
-        design = TunedBRAR()
-    elif kind == "er":
+    if kind == "er":
         design = EqualRandomization(int(node.get("permuted_block_size", 8)))
+    elif kind in ("standard", "tuned"):
+        _reject(node, ("permuted_block_size",), path, "applies only to kind: er")
+        design = StandardBRAR() if kind == "standard" else TunedBRAR()
     else:
         raise ConfigError(f"{path}.kind: must be standard, tuned, or er, got {kind!r}")
     total_n = int(_require(node, "total_n", path))
     burn_in = int(_require(node, "burn_in", path))
     block_size = int(node.get("block_size", 1))
-    if "num_blocks" in node:
-        num_blocks = int(node["num_blocks"])
-    else:
-        remaining = total_n - burn_in
-        if block_size <= 0 or remaining % block_size != 0:
-            raise ConfigError(
-                f"{path}: total_n - burn_in = {remaining} is not a whole number "
-                f"of blocks of size {block_size}"
-            )
-        num_blocks = remaining // block_size
+    remaining = total_n - burn_in
+    if block_size <= 0 or remaining % block_size != 0:
+        raise ConfigError(
+            f"{path}: total_n - burn_in = {remaining} is not a whole number "
+            f"of blocks of size {block_size}"
+        )
     try:
         return DesignConfig(
             total_n=total_n,
             burn_in=burn_in,
             block_size=block_size,
-            num_blocks=num_blocks,
+            num_blocks=remaining // block_size,
             design=design,
         )
     except ConfigError as exc:
@@ -146,6 +145,12 @@ def _parse_models(node, path: str) -> tuple[OutcomeModel, tuple[OutcomeModel, ..
         path,
     )
     family = _require(node, "family", path)
+    if family not in ("exponential", "bernoulli", "normal"):
+        raise ConfigError(
+            f"{path}.family: must be exponential, bernoulli, or normal, got {family!r}"
+        )
+    if family != "normal":
+        _reject(node, ("sd_control", "sd_experimental"), path, "applies only to family: normal")
     direction = node.get("direction", "larger")
     control = float(_require(node, "control", path))
     raw = _require(node, "experimental", path)
@@ -156,16 +161,12 @@ def _parse_models(node, path: str) -> tuple[OutcomeModel, tuple[OutcomeModel, ..
             fam = Exponential(control, exp_value)
         elif family == "bernoulli":
             fam = Bernoulli(control, exp_value)
-        elif family == "normal":
+        else:
             fam = NormalKnownVar(
                 control,
                 exp_value,
                 float(_require(node, "sd_control", path)),
                 float(_require(node, "sd_experimental", path)),
-            )
-        else:
-            raise ConfigError(
-                f"{path}.family: must be exponential, bernoulli, or normal, got {family!r}"
             )
         return OutcomeModel(fam, direction)
 
@@ -215,6 +216,12 @@ def _parse_test(node, path: str) -> TestEntry:
     on_er = bool(node.get("on_er", False))
     if ("ap" in node) == ("comparator" in node):
         raise ConfigError(f"{path}: specify exactly one of 'ap' or 'comparator'")
+    if node.get("ap") != "custom":
+        _reject(node, ("f", "weights"), path, "applies only to ap: custom")
+    if node.get("f") != "indicator":
+        _reject(node, ("threshold", "strict"), path, "applies only to f: indicator")
+    if "ap" not in node:
+        _reject(node, ("t_min",), path, "applies only to AP tests")
     if "comparator" in node:
         kind = node["comparator"]
         name = node.get("name", kind + ("-er" if on_er else ""))
@@ -330,10 +337,7 @@ def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:
             else:
                 tests.append(dataclasses.replace(e, mode=CALIBRATED))
         updates["tests"] = tuple(tests)
-    if not updates:
-        return spec
-    updates["er_design"] = None  # rederived after overrides
-    return dataclasses.replace(spec, **updates)
+    return dataclasses.replace(spec, **updates) if updates else spec
 
 
 def _summarize(report: PerformanceReport) -> str:
@@ -366,43 +370,36 @@ def run(manifest: RunManifest) -> int:
     figure_rows: dict[str, list] = {}
     for job in manifest.jobs:
         null = job.scenario.null_model
-        if job.kind == "scenario":
-            reports = [run_scenario(job.scenario, threads=manifest.threads)]
-        else:
-            reports = sample_size_sweep(job.scenario, job.n_grid, threads=manifest.threads)
-        for report in reports:
-            export_report(out / f"{report.scenario}_report.tsv", report)
-            if report.critical_values:
-                export_critical_values(
-                    out / f"{report.scenario}_critical_values.tsv",
-                    report.critical_values,
-                    report.replicates_calib,
-                    report.seed,
-                    model_label(null.kind, null.param_control, null.param_experimental),
-                )
-            print(_summarize(report))
-            if job.figure:
-                figure_rows.setdefault(job.figure, []).extend(report.rows)
+        report = run_scenario(job.scenario, threads=manifest.threads)
+        export_report(out / f"{report.scenario}_report.tsv", report)
+        if report.critical_values:
+            export_critical_values(
+                out / f"{report.scenario}_critical_values.tsv",
+                report.critical_values,
+                report.replicates_calib,
+                report.seed,
+                model_label(null.kind, null.param_control, null.param_experimental),
+            )
+        print(_summarize(report))
+        if job.figure:
+            figure_rows.setdefault(job.figure, []).extend(report.rows)
     for figure, rows in figure_rows.items():
         _write_figure_data(out / f"{figure}_data.tsv", rows)
     print(f"done in {time.perf_counter() - started:.1f}s -> {out}")
     return EXIT_OK
 
 
+#: Figure data omits the report's block layout and patient-benefit columns.
+_FIGURE_COLUMNS = tuple(
+    column
+    for column in REPORT_COLUMNS
+    if column[0] not in ("B", "Bprime", "pct_better_mean", "pct_better_sd", "mean_outcome")
+)
+
+
 def _write_figure_data(path: Path, rows) -> None:
     # One aggregated file per figure tag, rewritten whole for rerun identity.
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            "scenario\tdesign\tN\tfamily\tparam_ctrl\tparam_exp\ttest\tmode"
-            "\talpha\trejection_rate\tmc_se\tseed\n"
-        )
-        for r in rows:
-            fh.write(
-                f"{r.scenario}\t{r.design_label}\t{r.total_n}\t{r.family}"
-                f"\t{r.param_control:.10g}\t{r.param_experimental:.10g}"
-                f"\t{r.test}\t{r.mode}\t{r.alpha:.10g}"
-                f"\t{r.rejection_rate:.10g}\t{r.mc_se:.10g}\t{r.seed}\n"
-            )
+    write_rows(path, rows, _FIGURE_COLUMNS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,10 +440,7 @@ def build_manifest(args) -> RunManifest:
             for j in jobs
         )
         return RunManifest(jobs=jobs, output_dir=args.out, threads=args.threads)
-    scenarios = load_config(args.config)
-    jobs = tuple(
-        PresetJob("scenario", _apply_overrides(s, args)) for s in scenarios
-    )
+    jobs = tuple(PresetJob(_apply_overrides(s, args)) for s in load_config(args.config))
     return RunManifest(jobs=jobs, output_dir=args.out, threads=args.threads)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import special
 
 from .allocation import DesignConfig, tune_probability
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .models import (
     ArmPosterior,
     BetaPrior,
@@ -272,6 +272,11 @@ def _add_comparators(
             stat, _ = z_statistic_from_counts(
                 post.n1, post.s1, post.n0, post.s0, fam.sd_control, fam.sd_experimental
             )
+        if np.isnan(stat).any():
+            raise NumericalError(
+                f"comparator {t.name!r} statistic is NaN: outcome sums out of "
+                "floating-point range"
+            )
         if t.two_sided:
             # degenerate replicates are marked -inf and must stay non-rejecting
             stat = np.where(np.isneginf(stat), stat, np.abs(stat))
@@ -311,7 +316,8 @@ def simulate_batch(
         for index, size in enumerate(sizes)
     ]
     if threads > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # the pool starts every worker up front, so never more than there are chunks
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
             parts = list(pool.map(_chunk_task, tasks))
     else:
         parts = [_chunk_task(task) for task in tasks]

@@ -68,14 +68,14 @@ class TestEntry:
         return self.spec.name
 
 
-def equal_randomization_design(total_n: int, permuted_block_size: int = 8) -> DesignConfig:
-    """Comparator design allocating all N subjects by permuted blocks."""
+def equal_randomization_design(total_n: int) -> DesignConfig:
+    """Comparator design allocating all N subjects by permuted blocks of 8."""
     return DesignConfig(
         total_n=total_n,
         burn_in=2,
         block_size=1,
         num_blocks=total_n - 2,
-        design=EqualRandomization(permuted_block_size),
+        design=EqualRandomization(),
     )
 
 
@@ -93,7 +93,6 @@ class ScenarioSpec:
     replicates_eval: int = 10**5
     replicates_calib: int = 10**6
     seed: int = 0
-    er_design: DesignConfig | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -121,15 +120,26 @@ class ScenarioSpec:
                 self.name,
                 self.replicates_eval,
             )
-        if any(e.on_er for e in self.tests) and self.er_design is None:
-            object.__setattr__(
-                self, "er_design", equal_randomization_design(self.design.total_n)
-            )
         # the engine's checks, run here so a config fails before any simulation
-        for design, on_er in ((self.design, False), (self.er_design, True)):
-            specs = tuple(e.spec for e in self.tests if e.on_er == on_er)
-            if specs or not on_er:
-                validate_battery(design, self.null_model, self.prior, specs)
+        for _, design, entries in self.roles():
+            validate_battery(design, self.null_model, self.prior, tuple(e.spec for e in entries))
+
+    @property
+    def er_design(self) -> DesignConfig:
+        """The equal-randomization comparator design, sized like the primary one."""
+        return equal_randomization_design(self.design.total_n)
+
+    def roles(self) -> tuple[tuple[int, DesignConfig, tuple[TestEntry, ...]], ...]:
+        """(stream role, design, tests) for every design this scenario simulates.
+
+        The primary design always runs, so patient benefit is always
+        reported; the equal-randomization design runs only for its tests.
+        """
+        roles = [(_PRIMARY_ROLE, self.design, tuple(e for e in self.tests if not e.on_er))]
+        er_entries = tuple(e for e in self.tests if e.on_er)
+        if er_entries:
+            roles.append((_ER_ROLE, self.er_design, er_entries))
+        return tuple(roles)
 
     def model_grid(self) -> tuple[OutcomeModel, ...]:
         return (self.null_model, *self.alternative_models)
@@ -233,13 +243,7 @@ def _mc_se(rate: float, replicates: int) -> float:
 def run_scenario(spec: ScenarioSpec, threads: int = 1) -> PerformanceReport:
     """Calibrate, evaluate every model cell, and aggregate the report."""
     start = time.perf_counter()
-    roles: list[tuple[int, DesignConfig, tuple[TestEntry, ...]]] = []
-    primary_entries = tuple(e for e in spec.tests if not e.on_er)
-    er_entries = tuple(e for e in spec.tests if e.on_er)
-    roles.append((_PRIMARY_ROLE, spec.design, primary_entries))
-    if er_entries:
-        roles.append((_ER_ROLE, spec.er_design, er_entries))
-
+    roles = spec.roles()
     critical_values: dict[str, CriticalValue] = {}
     for role, design, entries in roles:
         to_calibrate = tuple(e.spec for e in entries if e.mode == CALIBRATED)
@@ -261,8 +265,6 @@ def run_scenario(spec: ScenarioSpec, threads: int = 1) -> PerformanceReport:
     for mi, model in enumerate(spec.model_grid()):
         label = _label_of(model)
         for role, design, entries in roles:
-            if not entries and role != _PRIMARY_ROLE:
-                continue  # primary runs regardless, so benefit is always reported
             batch = simulate_batch(
                 design,
                 model,
@@ -327,69 +329,84 @@ def _reported_outcome(b: BenefitSummary, model: OutcomeModel) -> float:
     return b.mean_total_outcome if model.kind == "bernoulli" else b.mean_outcome
 
 
+def sweep_scenarios(template: ScenarioSpec, n_grid: tuple[int, ...]) -> tuple[ScenarioSpec, ...]:
+    """The template resized to every N of a sample-size grid, all checked up front.
+
+    Each N gets its own fully sequential design (block size 1, the
+    template's burn-in) and its own calibration; the template's null and
+    alternatives are kept.
+    """
+    return tuple(
+        dataclasses.replace(
+            template,
+            name=f"{template.name}-n{n}",
+            design=dataclasses.replace(
+                template.design, total_n=n, block_size=1, num_blocks=n - template.design.burn_in
+            ),
+        )
+        for n in n_grid
+    )
+
+
 def sample_size_sweep(
     template: ScenarioSpec, n_grid: tuple[int, ...], threads: int = 1
 ) -> list[PerformanceReport]:
-    """Run the template over a sample-size grid, recalibrating at every N.
-
-    Each N gets its own fully sequential design (block size 1, the
-    template's burn-in); the template's null and alternatives are kept.
-    """
-    reports = []
-    for n in n_grid:
-        design = dataclasses.replace(
-            template.design,
-            total_n=n,
-            block_size=1,
-            num_blocks=n - template.design.burn_in,
-        )
-        spec = dataclasses.replace(
-            template, name=f"{template.name}-n{n}", design=design, er_design=None
-        )
-        reports.append(run_scenario(spec, threads=threads))
-    return reports
+    """Run the template over a sample-size grid (see ``sweep_scenarios``)."""
+    return [run_scenario(spec, threads=threads) for spec in sweep_scenarios(template, n_grid)]
 
 
 # ---------------------------------------------------------------------------
 # Delimited export
 # ---------------------------------------------------------------------------
 
-_COLUMNS = (
-    "scenario",
-    "design",
-    "N",
-    "B",
-    "Bprime",
-    "family",
-    "param_ctrl",
-    "param_exp",
-    "test",
-    "mode",
-    "alpha",
-    "rejection_rate",
-    "mc_se",
-    "pct_better_mean",
-    "pct_better_sd",
-    "mean_outcome",
-    "seed",
+#: (header, ReportRow attribute) for every report column, in file order.
+REPORT_COLUMNS = (
+    ("scenario", "scenario"),
+    ("design", "design_label"),
+    ("N", "total_n"),
+    ("B", "block_size"),
+    ("Bprime", "burn_in"),
+    ("family", "family"),
+    ("param_ctrl", "param_control"),
+    ("param_exp", "param_experimental"),
+    ("test", "test"),
+    ("mode", "mode"),
+    ("alpha", "alpha"),
+    ("rejection_rate", "rejection_rate"),
+    ("mc_se", "mc_se"),
+    ("pct_better_mean", "pct_better_mean"),
+    ("pct_better_sd", "pct_better_sd"),
+    ("mean_outcome", "mean_outcome"),
+    ("seed", "seed"),
 )
+
+
+def _cell(value) -> str:
+    return f"{value:.10g}" if isinstance(value, float) else str(value)
+
+
+def write_rows(path, rows, columns=REPORT_COLUMNS, comment: str = "") -> None:
+    """Write report rows as tab-delimited text, one line per row.
+
+    ``columns`` lists (header, attribute) pairs; floats are written with 10
+    significant digits, everything else as ``str``.  ``comment`` goes
+    before the header line.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(comment)
+        fh.write("\t".join(header for header, _ in columns) + "\n")
+        for r in rows:
+            fh.write("\t".join(_cell(getattr(r, attr)) for _, attr in columns) + "\n")
 
 
 def export_report(path, report: PerformanceReport) -> None:
     """Write one report as tab-delimited text, reconstructible from its header."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
+    write_rows(
+        path,
+        report.rows,
+        comment=(
             f"# aptest {report.version} seed={report.seed} "
             f"replicates_eval={report.replicates_eval} "
             f"replicates_calib={report.replicates_calib}\n"
-        )
-        fh.write("\t".join(_COLUMNS) + "\n")
-        for r in report.rows:
-            fh.write(
-                f"{r.scenario}\t{r.design_label}\t{r.total_n}\t{r.block_size}"
-                f"\t{r.burn_in}\t{r.family}\t{r.param_control:.10g}"
-                f"\t{r.param_experimental:.10g}\t{r.test}\t{r.mode}"
-                f"\t{r.alpha:.10g}\t{r.rejection_rate:.10g}\t{r.mc_se:.10g}"
-                f"\t{r.pct_better_mean:.10g}\t{r.pct_better_sd:.10g}"
-                f"\t{r.mean_outcome:.10g}\t{r.seed}\n"
-            )
+        ),
+    )

@@ -142,24 +142,15 @@ def _natural_params(family: Family) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class GammaPrior:
-    """Gamma(shape, rate) prior on an exponential rate.
-
-    ``improper=True`` permits rate 0 (the scale-free limit).  That mode exists
-    only so tests can check exact scale invariance; regular runs use proper
-    priors.
-    """
+    """Gamma(shape, rate) prior on an exponential rate."""
 
     shape: float
     rate: float
-    improper: bool = False
 
     def __post_init__(self) -> None:
         if self.shape <= 0:
             raise ConfigError("gamma prior shape must be strictly positive")
-        if self.improper:
-            if self.rate != 0.0:
-                raise ConfigError("improper gamma prior requires rate exactly 0")
-        elif self.rate <= 0:
+        if self.rate <= 0:
             raise ConfigError("gamma prior rate must be strictly positive")
 
 
@@ -368,8 +359,17 @@ def oriented_probability(larger, direction: str):
     """Turn P(experimental parameter larger) into P(experimental better).
 
     Flips the probability when smaller is better and clamps it to the open
-    interval (0, 1); scalars and arrays alike.
+    interval (0, 1); scalars and arrays alike.  A non-finite input raises
+    NumericalError: a NaN allocation probability would send every subject
+    to control.
     """
+    # math.isfinite on scalars: np.isfinite costs a third of a scalar call
+    finite = math.isfinite(larger) if isinstance(larger, float) else np.isfinite(larger).all()
+    if not finite:
+        raise NumericalError(
+            "superiority probability is not finite: posterior parameters out of "
+            "floating-point range"
+        )
     p = larger if direction == LARGER else 1.0 - larger
     return np.minimum(np.maximum(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
 
@@ -459,7 +459,7 @@ def superiority_probability(
         a1, b1 = gamma_posterior(prior, post_exp)
         a0, b0 = gamma_posterior(prior, post_ctrl)
         if b1 <= 0 or b0 <= 0:
-            raise DataError("gamma posterior rate is not positive; need data or a proper prior")
+            raise DataError("gamma posterior rate is not positive")
         larger = gamma_superiority_vec(a1, b1, a0, b0)
     elif isinstance(prior, BetaPrior):
         a1, b1 = beta_posterior(prior, post_exp)

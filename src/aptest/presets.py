@@ -5,7 +5,9 @@ characteristic grids, a type-I-error curve over sample size, a large-sample
 power sweep, and two empirical-example scenarios (exponential and binary).
 Every preset also has a ``-desk`` variant that trims the replication budget
 to 1e5 calibration / 1e4 evaluation draws, enough for Monte Carlo standard
-errors around half a percentage point on a laptop.
+errors around half a percentage point on a laptop, and ends the sweeps at
+N = 1000.  A preset is a flat list of fully built scenarios: a sweep lists
+one scenario per sample size.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 from .allocation import DesignConfig, StandardBRAR, TunedBRAR
 from .errors import ConfigError
-from .harness import CALIBRATED, NOMINAL, ScenarioSpec, TestEntry
+from .harness import CALIBRATED, NOMINAL, ScenarioSpec, TestEntry, sweep_scenarios
 from .models import (
     Bernoulli,
     BetaPrior,
@@ -24,8 +26,18 @@ from .models import (
 )
 from .stats import ComparatorTest, lastblock_ap_test, original_ap_test, timedirect_ap_test
 
-FULL_REPLICATES = (10**6, 10**5)  # (calibration, evaluation)
-DESK_REPLICATES = (10**5, 10**4)
+
+@dataclass(frozen=True)
+class Budget:
+    """Replicates per scenario and the sample sizes a sweep preset visits."""
+
+    calib: int
+    evaluation: int
+    n_grid: tuple[int, ...]
+
+
+FULL_BUDGET = Budget(10**6, 10**5, (100, 200, 500, 1000, 2000, 5000))
+DESK_BUDGET = Budget(10**5, 10**4, (100, 200, 500, 1000))
 
 VAGUE_GAMMA_PRIOR = GammaPrior(shape=1.0, rate=0.001)
 FLAT_BETA_PRIOR = BetaPrior(alpha=1.0, beta=1.0)
@@ -47,18 +59,24 @@ EMPIRICAL_P_EXPERIMENTAL = 0.9
 
 @dataclass(frozen=True)
 class PresetJob:
-    """One unit of work inside a preset: a scenario or a sample-size sweep."""
+    """One fully built scenario of a preset, and the figure its rows feed, if any."""
 
-    kind: str  # "scenario" | "sweep"
     scenario: ScenarioSpec
-    n_grid: tuple[int, ...] = ()
     figure: str = ""
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("scenario", "sweep"):
-            raise ConfigError(f"unknown preset job kind {self.kind!r}")
-        if self.kind != "scenario" and not self.n_grid:
-            raise ConfigError("sweep jobs need a sample-size grid")
+
+def _scenario(seed: int, budget: Budget, **fields) -> ScenarioSpec:
+    return ScenarioSpec(
+        replicates_eval=budget.evaluation, replicates_calib=budget.calib, seed=seed, **fields
+    )
+
+
+def _sweep_jobs(templates, budget: Budget, figure: str) -> tuple[PresetJob, ...]:
+    return tuple(
+        PresetJob(spec, figure)
+        for template in templates
+        for spec in sweep_scenarios(template, budget.n_grid)
+    )
 
 
 def _exp_model(rate_control: float, rate_experimental: float) -> OutcomeModel:
@@ -105,56 +123,48 @@ def _phase_jobs(
     tests: tuple[TestEntry, ...],
     figure: str,
     seed: int,
-    replicates: tuple[int, int],
+    budget: Budget,
 ) -> tuple[PresetJob, ...]:
-    calib, evaluation = replicates
-    jobs = []
-    for label, design in _brar_designs(total_n, burn_in, block_size):
-        jobs.append(
-            PresetJob(
-                "scenario",
-                ScenarioSpec(
-                    name=f"{tag}-{label}",
-                    design=design,
-                    prior=VAGUE_GAMMA_PRIOR,
-                    null_model=_exp_model(1.0, 1.0),
-                    alternative_models=tuple(_exp_model(1.0, r) for r in RATE_GRID),
-                    tests=tests,
-                    alpha=alpha,
-                    replicates_eval=evaluation,
-                    replicates_calib=calib,
-                    seed=seed,
-                ),
-                figure=figure,
-            )
+    designs = _brar_designs(total_n, burn_in, block_size)
+    common = dict(prior=VAGUE_GAMMA_PRIOR, null_model=_exp_model(1.0, 1.0), alpha=alpha)
+    grid = tuple(
+        PresetJob(
+            _scenario(
+                seed,
+                budget,
+                name=f"{tag}-{label}",
+                design=design,
+                alternative_models=tuple(_exp_model(1.0, r) for r in RATE_GRID),
+                tests=tests,
+                **common,
+            ),
+            figure,
         )
+        for label, design in designs
+    )
     # Patient-benefit cells at the 50% treatment effect; evaluation only.
     benefit_tests = (
         TestEntry(ComparatorTest("lr", "lr"), mode=NOMINAL),
         TestEntry(ComparatorTest("lr", "lr-er"), mode=NOMINAL, on_er=True),
     )
-    for label, design in _brar_designs(total_n, burn_in, block_size):
-        jobs.append(
-            PresetJob(
-                "scenario",
-                ScenarioSpec(
-                    name=f"{tag}-benefit-{label}",
-                    design=design,
-                    prior=VAGUE_GAMMA_PRIOR,
-                    null_model=_exp_model(1.0, 1.0),
-                    alternative_models=(_exp_model(1.0, BENEFIT_RATE),),
-                    tests=benefit_tests,
-                    alpha=alpha,
-                    replicates_eval=evaluation,
-                    replicates_calib=calib,
-                    seed=seed,
-                ),
+    benefit = tuple(
+        PresetJob(
+            _scenario(
+                seed,
+                budget,
+                name=f"{tag}-benefit-{label}",
+                design=design,
+                alternative_models=(_exp_model(1.0, BENEFIT_RATE),),
+                tests=benefit_tests,
+                **common,
             )
         )
-    return tuple(jobs)
+        for label, design in designs
+    )
+    return grid + benefit
 
 
-def phase2(seed: int = 0, desk: bool = False) -> tuple[PresetJob, ...]:
+def phase2(seed: int, budget: Budget) -> tuple[PresetJob, ...]:
     """Phase-2 grid: N=100, burn-in 10, fully sequential, 10% level.
 
     Tests are reported at their working levels: the integer AP test and the
@@ -170,11 +180,11 @@ def phase2(seed: int = 0, desk: bool = False) -> tuple[PresetJob, ...]:
         tests=_exponential_tests(NOMINAL, NOMINAL, NOMINAL),
         figure="fig1",
         seed=seed,
-        replicates=DESK_REPLICATES if desk else FULL_REPLICATES,
+        budget=budget,
     )
 
 
-def phase3(seed: int = 0, desk: bool = False) -> tuple[PresetJob, ...]:
+def phase3(seed: int, budget: Budget) -> tuple[PresetJob, ...]:
     """Phase-3 grid: N=500, burn-in 50, block size 10, strict 5% control."""
     return _phase_jobs(
         "phase3",
@@ -185,74 +195,55 @@ def phase3(seed: int = 0, desk: bool = False) -> tuple[PresetJob, ...]:
         tests=_exponential_tests(CALIBRATED, CALIBRATED, CALIBRATED),
         figure="fig2",
         seed=seed,
-        replicates=DESK_REPLICATES if desk else FULL_REPLICATES,
+        budget=budget,
     )
 
 
-def type1_curve_preset(seed: int = 0, desk: bool = False) -> tuple[PresetJob, ...]:
+def type1_curve_preset(seed: int, budget: Budget) -> tuple[PresetJob, ...]:
     """Null rejection rate versus sample size, fully sequential designs."""
-    calib, evaluation = DESK_REPLICATES if desk else FULL_REPLICATES
-    grid = (100, 200, 500, 1000) if desk else (100, 200, 500, 1000, 2000, 5000)
-    jobs = []
-    for label, design in _brar_designs(total_n=100, burn_in=10, block_size=1):
-        jobs.append(
-            PresetJob(
-                "sweep",
-                ScenarioSpec(
-                    name=f"type1-{label}",
-                    design=design,
-                    prior=VAGUE_GAMMA_PRIOR,
-                    null_model=_exp_model(1.0, 1.0),
-                    tests=_exponential_tests(NOMINAL, NOMINAL, NOMINAL),
-                    alpha=0.05,
-                    replicates_eval=evaluation,
-                    replicates_calib=calib,
-                    seed=seed,
-                ),
-                n_grid=grid,
-                figure="fig3",
-            )
+    templates = (
+        _scenario(
+            seed,
+            budget,
+            name=f"type1-{label}",
+            design=design,
+            prior=VAGUE_GAMMA_PRIOR,
+            null_model=_exp_model(1.0, 1.0),
+            tests=_exponential_tests(NOMINAL, NOMINAL, NOMINAL),
+            alpha=0.05,
         )
-    return tuple(jobs)
+        for label, design in _brar_designs(total_n=100, burn_in=10, block_size=1)
+    )
+    return _sweep_jobs(templates, budget, "fig3")
 
 
-def large_sample(seed: int = 0, desk: bool = False) -> tuple[PresetJob, ...]:
+def large_sample(seed: int, budget: Budget) -> tuple[PresetJob, ...]:
     """Power convergence over sample size at moderate and large effects."""
-    calib, evaluation = DESK_REPLICATES if desk else FULL_REPLICATES
-    grid = (100, 200, 500, 1000) if desk else (100, 200, 500, 1000, 2000, 5000)
-    jobs = []
-    for rate in (1.5, 2.0):
-        _, design = _brar_designs(total_n=100, burn_in=10, block_size=1)[0]
-        jobs.append(
-            PresetJob(
-                "sweep",
-                ScenarioSpec(
-                    name=f"large-sample-rate{rate:g}",
-                    design=design,
-                    prior=VAGUE_GAMMA_PRIOR,
-                    null_model=_exp_model(1.0, 1.0),
-                    alternative_models=(_exp_model(1.0, rate),),
-                    tests=_exponential_tests(NOMINAL, NOMINAL, NOMINAL),
-                    alpha=0.05,
-                    replicates_eval=evaluation,
-                    replicates_calib=calib,
-                    seed=seed,
-                ),
-                n_grid=grid,
-                figure="fig4",
-            )
+    _, design = _brar_designs(total_n=100, burn_in=10, block_size=1)[0]
+    templates = (
+        _scenario(
+            seed,
+            budget,
+            name=f"large-sample-rate{rate:g}",
+            design=design,
+            prior=VAGUE_GAMMA_PRIOR,
+            null_model=_exp_model(1.0, 1.0),
+            alternative_models=(_exp_model(1.0, rate),),
+            tests=_exponential_tests(NOMINAL, NOMINAL, NOMINAL),
+            alpha=0.05,
         )
-    return tuple(jobs)
+        for rate in (1.5, 2.0)
+    )
+    return _sweep_jobs(templates, budget, "fig4")
 
 
-def empirical_exponential(seed: int = 0, desk: bool = False) -> tuple[PresetJob, ...]:
+def empirical_exponential(seed: int, budget: Budget) -> tuple[PresetJob, ...]:
     """Time-to-hemostasis example: N=121, burn-in 12, strict 5% control.
 
     The likelihood-ratio comparators here are two-sided (deviance against a
     chi-square threshold), the convention of the study this scenario models;
     the AP tests are inherently one-sided.
     """
-    calib, evaluation = DESK_REPLICATES if desk else FULL_REPLICATES
     tests = (
         TestEntry(original_ap_test(), mode=CALIBRATED),
         TestEntry(timedirect_ap_test(), mode=CALIBRATED),
@@ -260,59 +251,46 @@ def empirical_exponential(seed: int = 0, desk: bool = False) -> tuple[PresetJob,
         TestEntry(ComparatorTest("lr", "lr", two_sided=True), mode=CALIBRATED),
         TestEntry(ComparatorTest("lr", "lr-er", two_sided=True), mode=CALIBRATED, on_er=True),
     )
-    jobs = []
-    for label, design in _brar_designs(total_n=121, burn_in=12, block_size=1):
-        jobs.append(
-            PresetJob(
-                "scenario",
-                ScenarioSpec(
-                    name=f"empirical-exponential-{label}",
-                    design=design,
-                    prior=VAGUE_GAMMA_PRIOR,
-                    null_model=_exp_model(EMPIRICAL_RATE_CONTROL, EMPIRICAL_RATE_CONTROL),
-                    alternative_models=(
-                        _exp_model(EMPIRICAL_RATE_CONTROL, EMPIRICAL_RATE_EXPERIMENTAL),
-                    ),
-                    tests=tests,
-                    alpha=0.05,
-                    replicates_eval=evaluation,
-                    replicates_calib=calib,
-                    seed=seed,
+    return tuple(
+        PresetJob(
+            _scenario(
+                seed,
+                budget,
+                name=f"empirical-exponential-{label}",
+                design=design,
+                prior=VAGUE_GAMMA_PRIOR,
+                null_model=_exp_model(EMPIRICAL_RATE_CONTROL, EMPIRICAL_RATE_CONTROL),
+                alternative_models=(
+                    _exp_model(EMPIRICAL_RATE_CONTROL, EMPIRICAL_RATE_EXPERIMENTAL),
                 ),
+                tests=tests,
+                alpha=0.05,
             )
         )
-    return tuple(jobs)
+        for label, design in _brar_designs(total_n=121, burn_in=12, block_size=1)
+    )
 
 
-def empirical_binary(seed: int = 0, desk: bool = False) -> tuple[PresetJob, ...]:
+def empirical_binary(seed: int, budget: Budget) -> tuple[PresetJob, ...]:
     """Hemostasis-within-10-minutes example: binary endpoint, strict control."""
-    calib, evaluation = DESK_REPLICATES if desk else FULL_REPLICATES
-    jobs = []
-    for label, design in _brar_designs(total_n=121, burn_in=12, block_size=1):
-        jobs.append(
-            PresetJob(
-                "scenario",
-                ScenarioSpec(
-                    name=f"empirical-binary-{label}",
-                    design=design,
-                    prior=FLAT_BETA_PRIOR,
-                    null_model=OutcomeModel(
-                        Bernoulli(EMPIRICAL_P_CONTROL, EMPIRICAL_P_CONTROL)
-                    ),
-                    alternative_models=(
-                        OutcomeModel(
-                            Bernoulli(EMPIRICAL_P_CONTROL, EMPIRICAL_P_EXPERIMENTAL)
-                        ),
-                    ),
-                    tests=_binary_tests(CALIBRATED, CALIBRATED, CALIBRATED),
-                    alpha=0.05,
-                    replicates_eval=evaluation,
-                    replicates_calib=calib,
-                    seed=seed,
+    return tuple(
+        PresetJob(
+            _scenario(
+                seed,
+                budget,
+                name=f"empirical-binary-{label}",
+                design=design,
+                prior=FLAT_BETA_PRIOR,
+                null_model=OutcomeModel(Bernoulli(EMPIRICAL_P_CONTROL, EMPIRICAL_P_CONTROL)),
+                alternative_models=(
+                    OutcomeModel(Bernoulli(EMPIRICAL_P_CONTROL, EMPIRICAL_P_EXPERIMENTAL)),
                 ),
+                tests=_binary_tests(CALIBRATED, CALIBRATED, CALIBRATED),
+                alpha=0.05,
             )
         )
-    return tuple(jobs)
+        for label, design in _brar_designs(total_n=121, burn_in=12, block_size=1)
+    )
 
 
 _BUILDERS = {
@@ -333,11 +311,11 @@ def preset_names() -> tuple[str, ...]:
 
 
 def build_preset(name: str, seed: int = 0) -> tuple[PresetJob, ...]:
-    """Instantiate a preset by name; ``-desk`` suffixes shrink the budgets."""
+    """Every scenario of a preset, fully built; ``-desk`` selects the smaller budget."""
     desk = name.endswith("-desk")
     base = name[: -len("-desk")] if desk else name
     if base not in _BUILDERS:
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         )
-    return _BUILDERS[base](seed=seed, desk=desk)
+    return _BUILDERS[base](seed, DESK_BUDGET if desk else FULL_BUDGET)

@@ -327,31 +327,3 @@ def nominal_critical_value(spec: TestSpec, num_blocks: int, alpha: float) -> flo
         tail = alpha / 2.0 if spec.two_sided else alpha
         return float(stats.norm.ppf(1.0 - tail))
     return -alpha
-
-
-@dataclass(frozen=True)
-class TestDecisionRecord:
-    """Outcome of applying one test at one critical value."""
-
-    __test__ = False  # not a pytest class, despite the name
-
-    test_name: str
-    statistic: float
-    critical_value: float
-    rejected: bool
-    nominal_alpha: float
-
-    def __post_init__(self) -> None:
-        if self.rejected != (self.statistic > self.critical_value):
-            raise ConfigError("rejected flag must equal statistic > critical_value")
-
-
-def decide(test_name: str, statistic: float, critical_value: float, alpha: float) -> TestDecisionRecord:
-    """Build a decision record; rejection is strictly statistic > threshold."""
-    return TestDecisionRecord(
-        test_name=test_name,
-        statistic=float(statistic),
-        critical_value=float(critical_value),
-        rejected=bool(statistic > critical_value),
-        nominal_alpha=alpha,
-    )

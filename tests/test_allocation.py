@@ -13,12 +13,14 @@ from aptest.allocation import (
     tune_probability,
 )
 from aptest.engine import derive_rng, simulate_batch
-from aptest.errors import ConfigError
+from aptest.errors import ConfigError, NumericalError
 from aptest.models import (
     Bernoulli,
     BetaPrior,
     Exponential,
     GammaPrior,
+    NormalKnownVar,
+    NormalPrior,
     OutcomeModel,
     initial_posterior,
     superiority_probability,
@@ -115,6 +117,13 @@ class TestSimulateTrial:
         assert traj.alloc_probs.shape == (1,)
         assert len(traj.allocations) == 1
         assert traj.allocations[0].size == 10
+
+    def test_non_finite_probability_raises(self):
+        # each outcome near 1e308 is finite, but both burn-in arm totals
+        # overflow to inf, so the posterior means differ by inf - inf
+        model = OutcomeModel(NormalKnownVar(1.0e308, 1.0e308, 1.0, 1.0))
+        with pytest.raises(NumericalError, match="not finite"):
+            simulate_trial(small_design(), model, NormalPrior(0.0, 1.0), derive_rng(4))
 
     def test_probability_path_length_and_range(self):
         traj = simulate_trial(small_design(), MODEL_EFFECT, PRIOR, derive_rng(2))

@@ -31,7 +31,7 @@ NULL_MODEL = OutcomeModel(Exponential(1.0, 1.0))
 
 def dist(values, name="t"):
     arr = np.sort(np.asarray(values, dtype=float))
-    return NullDistribution(name, arr, arr.size)
+    return NullDistribution(name, arr)
 
 
 class TestCriticalValue:

@@ -1,13 +1,21 @@
 """Config parsing, presets, and end-to-end CLI runs."""
 
+import dataclasses
 import subprocess
 import sys
 
 import pytest
 
-from aptest.cli import EXIT_CONFIG, build_manifest, build_parser, load_config, main
+from aptest.cli import (
+    EXIT_CONFIG,
+    EXIT_NUMERICAL,
+    build_manifest,
+    build_parser,
+    load_config,
+    main,
+)
 from aptest.errors import ConfigError
-from aptest.presets import build_preset, preset_names
+from aptest.presets import PresetJob, build_preset, preset_names
 
 GOOD_CONFIG = """
 scenarios:
@@ -65,6 +73,33 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"scenarios\[0\].design.t_min: unknown key"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "old, new, key_path",
+        [
+            ("- {ap: lastblock}", "- {ap: original, f: identity}", "tests[0].f"),
+            ("- {ap: lastblock}", "- {ap: original, weights: [1, 2]}", "tests[0].weights"),
+            ("- {ap: lastblock}", "- {ap: original, threshold: 0.9}", "tests[0].threshold"),
+            ("- {ap: lastblock}", "- {ap: original, strict: false}", "tests[0].strict"),
+            ("- {ap: lastblock}",
+             "- {ap: custom, name: c, threshold: 0.9, weights: [0,0,0,0,0,0,0,0,0,0,0,0,1]}",
+             "tests[0].threshold"),
+            ("- {comparator: lr, mode: nominal}", "- {comparator: lr, mode: nominal, t_min: 7}",
+             "tests[1].t_min"),
+            ("block_size: 2}", "block_size: 2, permuted_block_size: 4}",
+             "design.permuted_block_size"),
+            ("experimental: [1.8]}", "experimental: [1.8], sd_control: 1.0}",
+             "outcome.sd_control"),
+            ("experimental: [1.8]}", "experimental: [1.8], sd_experimental: 1.0}",
+             "outcome.sd_experimental"),
+        ],
+    )
+    def test_key_ignored_by_chosen_kind_rejected(self, tmp_path, capsys, old, new, key_path):
+        assert old in GOOD_CONFIG
+        config = tmp_path / "c.yaml"
+        config.write_text(GOOD_CONFIG.replace(old, new))
+        assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"scenarios[0].{key_path}: applies only to" in capsys.readouterr().err
+
     def test_prior_family_mismatch_reported(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text(GOOD_CONFIG.replace("kind: gamma, shape: 1.0, rate: 0.001",
@@ -119,6 +154,21 @@ class TestPresets:
         spec = binary[0].scenario
         assert spec.null_model.param_control == 0.7
         assert spec.alternative_models[0].param_experimental == 0.9
+
+    def test_sweep_presets_list_sized_scenarios(self):
+        assert [f.name for f in dataclasses.fields(PresetJob)] == ["scenario", "figure"]
+        jobs = build_preset("type1-curve-desk")
+        assert len(jobs) == 8
+        assert [j.scenario.design.total_n for j in jobs] == [100, 200, 500, 1000] * 2
+        for job in jobs:
+            spec = job.scenario
+            n = spec.design.total_n
+            assert spec.name.endswith(f"-n{n}")
+            assert (spec.design.block_size, spec.design.num_blocks) == (1, n - 10)
+            assert spec.er_design.total_n == n
+            assert job.figure == "fig3"
+        full = build_preset("large-sample")
+        assert [j.scenario.design.total_n for j in full] == [100, 200, 500, 1000, 2000, 5000] * 2
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError):
@@ -204,6 +254,19 @@ class TestEndToEnd:
         out = tmp_path / "out"
         assert main(["--config", str(config), "--out", str(out)]) == EXIT_CONFIG
         assert "scenarios[1]" in capsys.readouterr().err
+        assert not list(out.glob("*.tsv"))
+
+    def test_non_finite_probability_exits_numerical(self, tmp_path, capsys):
+        # outcomes overflow to inf, so the posterior rates and the
+        # superiority probability are NaN
+        config = tmp_path / "c.yaml"
+        config.write_text(
+            GOOD_CONFIG.replace("control: 1.0, experimental: [1.8]",
+                                "control: 1.0e-310, experimental: [2.0e-310]")
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out)]) == EXIT_NUMERICAL
+        assert "not finite" in capsys.readouterr().err
         assert not list(out.glob("*.tsv"))
 
     @pytest.mark.parametrize("threads", ["0", "-1"])

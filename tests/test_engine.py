@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy import special
 
+from aptest import engine
 from aptest.allocation import DesignConfig, TunedBRAR, simulate_trial
 from aptest.engine import CHUNK_SIZE, derive_rng, simulate_batch
-from aptest.errors import ConfigError
+from aptest.errors import ConfigError, NumericalError
+from aptest.harness import equal_randomization_design
 from aptest.models import (
     Bernoulli,
     BetaPrior,
@@ -78,6 +80,31 @@ class TestDeterminism:
             assert np.array_equal(serial.statistics[name], parallel.statistics[name])
         assert np.array_equal(serial.outcome_total, parallel.outcome_total)
 
+    def test_pool_workers_capped_at_chunk_count(self, monkeypatch):
+        # a stand-in executor: records the worker count and runs in-process,
+        # so no worker is ever started
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        design = equal_randomization_design(10)
+        model = OutcomeModel(Exponential(1.0, 1.0))
+        batch = simulate_batch(design, model, PRIOR, (), 2 * CHUNK_SIZE + 1, seed=1, threads=500)
+        assert requested == [3]
+        assert batch.replicates == 2 * CHUNK_SIZE + 1
+
     def test_replicate_count_not_multiple_of_chunk(self):
         design = DesignConfig(20, 10, 1, 10)
         model = OutcomeModel(Exponential(1.0, 1.0))
@@ -104,6 +131,22 @@ class TestBatteryValidation:
         model = OutcomeModel(Exponential(1.0, 1.0))
         with pytest.raises(ConfigError):
             simulate_batch(design, model, PRIOR, (ComparatorTest("fisher", "f"),), 100, seed=0)
+
+
+class TestNonFiniteNumbers:
+    # rates this small make every outcome overflow to inf
+    MODEL = OutcomeModel(Exponential(1.0e-310, 2.0e-310))
+
+    def test_nan_probability_raises(self):
+        design = DesignConfig(20, 10, 1, 10)
+        with pytest.raises(NumericalError, match="not finite"):
+            simulate_batch(design, self.MODEL, PRIOR, (lastblock_ap_test(),), 100, seed=0)
+
+    def test_nan_comparator_raises_on_er_design(self):
+        # the equal-randomization design computes no probability at all
+        design = equal_randomization_design(20)
+        with pytest.raises(NumericalError, match="'lr' statistic is NaN"):
+            simulate_batch(design, self.MODEL, PRIOR, (ComparatorTest("lr", "lr"),), 100, seed=0)
 
 
 class TestAgainstPerTrialSimulation:
@@ -196,8 +239,6 @@ class TestAgainstPerTrialSimulation:
         assert abs(finals.mean() - batch.statistics["lastblock"].mean()) < 5 * se
 
     def test_er_counts_match_permuted_blocks(self):
-        from aptest.harness import equal_randomization_design
-
         design = equal_randomization_design(121)
         model = OutcomeModel(Exponential(1.0, 1.0))
         batch = simulate_batch(design, model, PRIOR, (), 20000, seed=6)

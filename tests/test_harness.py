@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from aptest import calibration, harness
 from aptest.allocation import DesignConfig
 from aptest.engine import simulate_batch
 from aptest.errors import ConfigError
@@ -17,7 +18,15 @@ from aptest.harness import (
     sample_size_sweep,
 )
 from aptest.models import Bernoulli, BetaPrior, Exponential, GammaPrior, OutcomeModel
-from aptest.stats import ComparatorTest, lastblock_ap_test, original_ap_test, timedirect_ap_test
+from aptest.stats import (
+    APTestSpec,
+    ComparatorTest,
+    CustomWeights,
+    Identity,
+    lastblock_ap_test,
+    original_ap_test,
+    timedirect_ap_test,
+)
 
 PRIOR = GammaPrior(1.0, 0.001)
 NULL = OutcomeModel(Exponential(1.0, 1.0))
@@ -189,6 +198,27 @@ class TestSweeps:
         powers = [r.rejection_rate("exponential(1,1.8)", "lastblock") for r in reports]
         assert len(powers) == 2
         assert powers[1] > powers[0] - 3 * 0.011  # non-decreasing within MC noise
+
+    def test_sweep_checks_every_size_before_simulating(self, monkeypatch):
+        # 15 weights cover blocks 1..15 of the N=20 template only
+        calls = []
+
+        def recording_batch(*args, **kwargs):
+            calls.append(args)
+            return simulate_batch(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "simulate_batch", recording_batch)
+        monkeypatch.setattr(calibration, "simulate_batch", recording_batch)
+        custom = APTestSpec("w15", Identity(), CustomWeights((1.0,) * 15))
+        template = tiny_scenario(
+            design=DesignConfig(20, 6, 1, 14),
+            tests=(TestEntry(custom),),
+            replicates_eval=500,
+            replicates_calib=500,
+        )
+        with pytest.raises(ConfigError, match="custom weight vector"):
+            sample_size_sweep(template, (20, 30))
+        assert calls == []
 
 
 class TestExport:

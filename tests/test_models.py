@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from aptest.errors import ConfigError, DataError
+from aptest.errors import ConfigError, DataError, NumericalError
 from aptest.models import (
     ArmPosterior,
     Bernoulli,
@@ -82,12 +82,6 @@ class TestModelValidation:
             BetaPrior(1.0, 0.0)
         with pytest.raises(ConfigError):
             NormalPrior(0.0, 0.0)
-
-    def test_improper_gamma_prior_is_explicit(self):
-        p = GammaPrior(1.0, 0.0, improper=True)
-        assert p.rate == 0.0
-        with pytest.raises(ConfigError):
-            GammaPrior(1.0, 0.5, improper=True)
 
 
 class TestSampling:
@@ -174,18 +168,24 @@ class TestGammaSuperiority:
         oracle = quadrature_gamma_superiority(3.5, 2.0, 3.5, 3.0)
         assert abs(p - oracle) < 1e-8
 
-    def test_scale_invariance_improper_prior(self):
-        # with a zero prior rate, only the ratio of total times matters;
-        # power-of-two scalings are exact in floating point
-        prior = GammaPrior(1.0, 0.0, improper=True)
+    def test_scale_invariance_with_scaled_prior_rate(self):
+        # rescaling time rescales the prior rate too; only the ratio of the
+        # posterior rates matters, and power-of-two scalings are exact in
+        # floating point
         base = superiority_probability(
-            ArmPosterior(7, 3.25), ArmPosterior(9, 11.5), prior
+            ArmPosterior(7, 3.25), ArmPosterior(9, 11.5), GammaPrior(1.0, 0.001)
         )
         for k in (2.0, 8.0, 0.25):
             scaled = superiority_probability(
-                ArmPosterior(7, 3.25 * k), ArmPosterior(9, 11.5 * k), prior
+                ArmPosterior(7, 3.25 * k), ArmPosterior(9, 11.5 * k), GammaPrior(1.0, 0.001 * k)
             )
             assert scaled == base
+
+    def test_overflowed_totals_raise(self):
+        with pytest.raises(NumericalError, match="not finite"):
+            superiority_probability(
+                ArmPosterior(3, math.inf), ArmPosterior(3, math.inf), GammaPrior(1.0, 0.001)
+            )
 
     def test_scale_near_invariance_proper_prior(self):
         prior = GammaPrior(1.0, 0.001)

@@ -17,9 +17,7 @@ from aptest.stats import (
     CustomWeights,
     Identity,
     Indicator,
-    TestDecisionRecord,
     ap_statistic_from_probs,
-    decide,
     fisher_exact_one_sided,
     lastblock_ap_test,
     lr_exponential_from_counts,
@@ -196,14 +194,6 @@ class TestZTest:
 
 
 class TestDecisions:
-    def test_rejection_is_strictly_greater(self):
-        assert decide("t", 2.0, 2.0, 0.05).rejected is False
-        assert decide("t", 2.0 + 1e-12, 2.0, 0.05).rejected is True
-
-    def test_record_consistency_enforced(self):
-        with pytest.raises(ConfigError):
-            TestDecisionRecord("t", 1.0, 2.0, True, 0.05)
-
     def test_nominal_thresholds(self):
         assert nominal_critical_value(original_ap_test(), 45, 0.05) == 45.0
         assert nominal_critical_value(original_ap_test(t_min=3), 45, 0.05) == 43.0
