@@ -10,6 +10,7 @@ from scipy import special
 from aptest.allocation import DesignConfig
 from aptest.engine import simulate_batch
 from aptest.errors import ConfigError, DataError
+from aptest.harness import ScenarioSpec, TestEntry, run_scenario
 from aptest.models import Exponential, GammaPrior, OutcomeModel
 from aptest.stats import (
     APTestSpec,
@@ -194,6 +195,32 @@ class TestZTest:
 
 
 class TestDecisions:
+    def test_rejection_is_strictly_greater(self):
+        # with t_min = T + 1 the original statistic is the single final-block
+        # indicator and its nominal threshold is 0: a far worse experimental
+        # arm ties the threshold in every replicate and never rejects, a far
+        # better one exceeds it in every replicate and always rejects
+        design = DesignConfig(30, 6, 2, 12)
+        spec = ScenarioSpec(
+            name="tie",
+            design=design,
+            prior=GammaPrior(1.0, 0.001),
+            null_model=OutcomeModel(Exponential(1.0, 1.0)),
+            alternative_models=(
+                OutcomeModel(Exponential(1.0, 0.02)),
+                OutcomeModel(Exponential(1.0, 50.0)),
+            ),
+            tests=(TestEntry(original_ap_test(t_min=design.num_blocks + 1), mode="nominal"),),
+            alpha=0.05,
+            replicates_eval=500,
+            replicates_calib=1000,
+            seed=5,
+        )
+        assert nominal_critical_value(spec.tests[0].spec, design.num_blocks, 0.05) == 0.0
+        report = run_scenario(spec)
+        assert report.rejection_rate("exponential(1,0.02)", "original") == 0.0
+        assert report.rejection_rate("exponential(1,50)", "original") == 1.0
+
     def test_nominal_thresholds(self):
         assert nominal_critical_value(original_ap_test(), 45, 0.05) == 45.0
         assert nominal_critical_value(original_ap_test(t_min=3), 45, 0.05) == 43.0
