@@ -104,20 +104,40 @@ def _require(node: dict, key: str, path: str):
     return node[key]
 
 
+def _integer(node: dict, key: str, path: str, default: int | None = None) -> int:
+    """An integer-valued key; 30.0 is accepted, 30.9, true and "30" are not."""
+    value = _require(node, key, path) if default is None else node.get(key, default)
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not float(value).is_integer()
+    ):
+        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(node: dict, key: str, path: str, default: bool) -> bool:
+    """A YAML boolean key; strings such as "false" or "no" are rejected."""
+    value = node.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}.{key}: expected true or false, got {value!r}")
+    return value
+
+
 def _parse_design(node, path: str) -> DesignConfig:
     node = _expect_mapping(node, path)
     _check_keys(node, {"kind", "total_n", "burn_in", "block_size", "permuted_block_size"}, path)
     kind = node.get("kind", "standard")
     if kind == "er":
-        design = EqualRandomization(int(node.get("permuted_block_size", 8)))
+        design = EqualRandomization(_integer(node, "permuted_block_size", path, 8))
     elif kind in ("standard", "tuned"):
         _reject(node, ("permuted_block_size",), path, "applies only to kind: er")
         design = StandardBRAR() if kind == "standard" else TunedBRAR()
     else:
         raise ConfigError(f"{path}.kind: must be standard, tuned, or er, got {kind!r}")
-    total_n = int(_require(node, "total_n", path))
-    burn_in = int(_require(node, "burn_in", path))
-    block_size = int(node.get("block_size", 1))
+    total_n = _integer(node, "total_n", path)
+    burn_in = _integer(node, "burn_in", path)
+    block_size = _integer(node, "block_size", path, 1)
     remaining = total_n - burn_in
     if block_size <= 0 or remaining % block_size != 0:
         raise ConfigError(
@@ -213,7 +233,7 @@ def _parse_test(node, path: str) -> TestEntry:
         path,
     )
     mode = node.get("mode", CALIBRATED)
-    on_er = bool(node.get("on_er", False))
+    on_er = _boolean(node, "on_er", path, False)
     if ("ap" in node) == ("comparator" in node):
         raise ConfigError(f"{path}: specify exactly one of 'ap' or 'comparator'")
     if node.get("ap") != "custom":
@@ -228,7 +248,7 @@ def _parse_test(node, path: str) -> TestEntry:
         spec = ComparatorTest(kind, name)
     else:
         ap = node["ap"]
-        t_min = int(node.get("t_min", 1))
+        t_min = _integer(node, "t_min", path, 1)
         if ap in _AP_BUILDERS:
             spec = _AP_BUILDERS[ap](t_min=t_min, name=node.get("name", ap))
         elif ap == "custom":
@@ -240,7 +260,7 @@ def _parse_test(node, path: str) -> TestEntry:
             elif f_kind == "indicator":
                 f = Indicator(
                     threshold=float(node.get("threshold", 0.5)),
-                    strict=bool(node.get("strict", True)),
+                    strict=_boolean(node, "strict", path, True),
                 )
             else:
                 raise ConfigError(f"{path}.f: must be identity or indicator")
@@ -279,6 +299,9 @@ def _parse_scenario(node, index: int) -> ScenarioSpec:
     tests = tuple(
         _parse_test(t, f"{path}.tests[{i}]") for i, t in enumerate(tests_node)
     )
+    replicates_eval = _integer(reps, "evaluation", f"{path}.replicates", 10**5)
+    replicates_calib = _integer(reps, "calibration", f"{path}.replicates", 10**6)
+    seed = _integer(node, "seed", path, 0)
     try:
         return ScenarioSpec(
             name=str(node.get("name", f"scenario-{index}")),
@@ -288,9 +311,9 @@ def _parse_scenario(node, index: int) -> ScenarioSpec:
             alternative_models=alternatives,
             tests=tests,
             alpha=float(node.get("alpha", 0.05)),
-            replicates_eval=int(reps.get("evaluation", 10**5)),
-            replicates_calib=int(reps.get("calibration", 10**6)),
-            seed=int(node.get("seed", 0)),
+            replicates_eval=replicates_eval,
+            replicates_calib=replicates_calib,
+            seed=seed,
         )
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -23,6 +23,7 @@ from .allocation import DesignConfig, tune_probability
 from .errors import ConfigError, NumericalError
 from .models import (
     ArmPosterior,
+    BetaCarry,
     BetaPrior,
     GammaPrior,
     NormalKnownVar,
@@ -119,16 +120,23 @@ class _PosteriorVec:
         self.s1 = np.zeros(size, dtype=dtype)
         self.s0 = np.zeros(size, dtype=dtype)
         self._table: np.ndarray | None = None
+        self._carry: BetaCarry | None = None
         if isinstance(prior, BetaPrior):
             # integer hyperparameters keep the posterior parameters integer
             # arrays, which index the log-gamma table
             self.prior = BetaPrior(round(prior.alpha), round(prior.beta))
             top = 2 * (self.prior.alpha + self.prior.beta) + 4 * max_n + 16
             self._table = special.gammaln(np.arange(top, dtype=np.float64))
+            self._carry = BetaCarry()  # filled by the first superiority call
         if isinstance(model.family, NormalKnownVar):
             self._sds = (model.family.sd_control, model.family.sd_experimental)
 
-    def superiority(self) -> np.ndarray:
+    def superiority(self, exact: bool = False) -> np.ndarray:
+        """P(experimental better) per replicate.
+
+        Beta posteriors step the chunk's carry from the previous call unless
+        ``exact``, which takes the exact sum and leaves the carry alone.
+        """
         prior = self.prior
         exp = ArmPosterior(self.n1, self.s1)
         ctrl = ArmPosterior(self.n0, self.s0)
@@ -136,7 +144,10 @@ class _PosteriorVec:
             pi = gamma_superiority_vec(*gamma_posterior(prior, exp), *gamma_posterior(prior, ctrl))
         elif isinstance(prior, BetaPrior):
             pi = beta_superiority_vec(
-                *beta_posterior(prior, exp), *beta_posterior(prior, ctrl), self._table
+                *beta_posterior(prior, exp),
+                *beta_posterior(prior, ctrl),
+                self._table,
+                carry=None if exact else self._carry,
             )
         else:
             sd0, sd1 = self._sds
@@ -217,8 +228,9 @@ def _simulate_chunk(
             k1 = rng.binomial(B, pi)
         post.absorb(k1, B - k1, rng)
 
-    # Hypothetical final block: untuned posterior probability from all data.
-    record(post.superiority(), T + 1)
+    # Hypothetical final block: untuned posterior probability from all data,
+    # from the exact sum rather than the carried recurrence.
+    record(post.superiority(exact=True), T + 1)
 
     stats_out = dict(acc)
     _add_comparators(stats_out, tests, post, model)

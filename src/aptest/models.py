@@ -12,6 +12,12 @@ It is computed in closed form for every gamma and normal posterior and for
 beta posteriors with an integer parameter, and by adaptive quadrature for
 the remaining beta posteriors.  The elementwise kernels here serve both the
 single-trial path and the batched engine.
+
+The beta kernel's exact finite sum costs O(smallest parameter) per call, so
+re-summing it at every block makes a trial O(N^2).  Given a ``BetaCarry``,
+it instead carries P(X1 > X0) from call to call and moves it by Cook's
+(2005, "Exact calculation of beta inequalities") one-step recurrences,
+O(1) per new subject; the batched engine carries one per chunk.
 """
 
 from __future__ import annotations
@@ -234,17 +240,27 @@ def initial_posterior(kind: str) -> PosteriorState:
 
 
 def sample_outcome(model: OutcomeModel, arm: int, rng: np.random.Generator) -> float:
-    """Draw one outcome from the given arm's distribution."""
+    """Draw one outcome from the given arm's distribution.
+
+    A draw that overflows floating point (an exponential rate below about
+    1e-308, say) raises NumericalError, as the batched engine does.
+    """
     fam = model.family
     if isinstance(fam, Exponential):
         rate = fam.rate_experimental if arm == 1 else fam.rate_control
-        return float(rng.exponential(1.0 / rate))
-    if isinstance(fam, Bernoulli):
+        y = float(rng.exponential(1.0 / rate))
+    elif isinstance(fam, Bernoulli):
         p = fam.p_experimental if arm == 1 else fam.p_control
-        return float(rng.random() < p)
-    mean = fam.mean_experimental if arm == 1 else fam.mean_control
-    sd = fam.sd_experimental if arm == 1 else fam.sd_control
-    return float(rng.normal(mean, sd))
+        y = float(rng.random() < p)
+    else:
+        mean = fam.mean_experimental if arm == 1 else fam.mean_control
+        sd = fam.sd_experimental if arm == 1 else fam.sd_control
+        y = float(rng.normal(mean, sd))
+    if not math.isfinite(y):
+        raise NumericalError(
+            f"outcome drawn from the {model.kind} model is not finite: {y}"
+        )
+    return y
 
 
 def update_posterior(state: PosteriorState, arm: int, outcome: float) -> PosteriorState:
@@ -332,13 +348,9 @@ def _beta_sup_sum(A1, B1, A0, B0, table) -> np.ndarray:
     return out
 
 
-def beta_superiority_vec(al1, be1, al0, be0, table) -> np.ndarray:
-    """P(X1 > X0) elementwise for beta posteriors with integer parameters.
-
-    ``table`` holds gammaln(0..M) for M beyond every parameter sum.  Sums over
-    whichever parameter keeps the loop shortest, mirroring x -> 1 - x or
-    swapping arms as needed.
-    """
+def _beta_sup_exact(al1, be1, al0, be0, table) -> np.ndarray:
+    # sums over whichever parameter keeps the loop shortest, mirroring
+    # x -> 1 - x or swapping arms as needed
     spans = (int(al1.max()), int(al0.max()), int(be0.max()), int(be1.max()))
     variant = int(np.argmin(spans))
     if variant == 0:
@@ -348,6 +360,126 @@ def beta_superiority_vec(al1, be1, al0, be0, table) -> np.ndarray:
     if variant == 2:
         return _beta_sup_sum(be0, al0, be1, al1, table)
     return 1.0 - _beta_sup_sum(be1, al1, be0, al0, table)
+
+
+def _beta_log_g(al1, be1, al0, be0, table) -> np.ndarray:
+    # log g = log B(a0+a1, b0+b1) - log B(a1, b1) - log B(a0, b0)
+    T = table
+    aa, bb = al0 + al1, be0 + be1
+    return (
+        T[aa] + T[bb] - T[aa + bb]
+        - (T[al1] + T[be1] - T[al1 + be1])
+        - (T[al0] + T[be0] - T[al0 + be0])
+    )
+
+
+@dataclass
+class BetaCarry:
+    """Recurrence state of ``beta_superiority_vec``, one entry per element.
+
+    Empty until the first call fills it; it then holds the last parameters
+    (as floats), h = P(X1 > X0) there, and log g with
+    g = B(a0+a1, b0+b1) / (B(a1, b1) B(a0, b0)).
+    """
+
+    params: tuple[np.ndarray, ...] | None = None
+    h: np.ndarray | None = None
+    log_g: np.ndarray | None = None
+    #: scratch arrays reused by every step: a fresh chunk-sized array costs a
+    #: page fault per 4 KiB on first touch, more than the arithmetic on it
+    work: tuple[np.ndarray, ...] = ()
+
+
+#: Unit steps between folds of the linear factor r into log g.  A step moves
+#: each element's g by a factor between 1/S and S, S its parameter total, so
+#: r stays inside S**(+-32), which is finite for any total below 1e9.
+_FOLD_STEPS = 32
+
+
+def _beta_sup_step(carry: BetaCarry, targets) -> np.ndarray:
+    # One unit increment at a time (Cook 2005), g taken before the step:
+    #   a1 + 1: h += g/a1    b1 + 1: h -= g/b1
+    #   a0 + 1: h -= g/a0    b0 + 1: h += g/b0
+    # and g grows by (same-letter sum)(same-arm sum) / (total)(stepped
+    # parameter).  g = exp(log g) * r: r is linear within a call and folded
+    # into log g, so a long lopsided trial underflows no state, only terms
+    # far below the probability floor.
+    a1, b1, a0, b0 = params = carry.params
+    if any((target < par).any() for target, par in zip(targets, params)):
+        raise ValueError("beta superiority carry: parameters may only grow")
+    if not carry.work:
+        carry.work = tuple(np.empty(carry.h.shape) for _ in range(9))
+    delta, g0, r, m, mr, q, grow, other, total = carry.work
+    h = carry.h.copy()
+    log_g = carry.log_g
+    np.exp(log_g, out=g0)
+    r.fill(1.0)
+    np.add(a0, a1, out=total)
+    total += b0
+    total += b1
+    steps = 0
+    for par, same_letter, same_arm, signed, target in (
+        (a1, (a0, a1), (a1, b1), np.add, targets[0]),
+        (b1, (b0, b1), (a1, b1), np.subtract, targets[1]),
+        (a0, (a0, a1), (a0, b0), np.subtract, targets[2]),
+        (b0, (b0, b1), (a0, b0), np.add, targets[3]),
+    ):
+        np.subtract(target, par, out=delta)
+        for _ in range(int(delta.max())):
+            np.minimum(delta, 1.0, out=m)  # 1 where this parameter still grows
+            delta -= m
+            np.multiply(m, r, out=mr)
+            np.divide(mr, par, out=q)  # masked r / stepped parameter
+            np.multiply(g0, q, out=grow)  # masked g / stepped parameter
+            signed(h, grow, out=h)
+            # r += masked r * (growth of g - 1)
+            np.add(*same_letter, out=grow)
+            grow *= np.add(*same_arm, out=other)
+            grow /= total
+            grow *= q
+            grow -= mr
+            r += grow
+            par += m
+            total += m
+            steps += 1
+            if steps % _FOLD_STEPS == 0:
+                log_g += np.log(r, out=grow)
+                np.exp(log_g, out=g0)
+                r.fill(1.0)
+    log_g += np.log(r, out=grow)
+    return h
+
+
+def _symmetric(a1, b1, a0, b0):
+    # P(X1 > X0) is exactly 1/2 by symmetry for identical posteriors, and for
+    # two posteriors that are each symmetric about 1/2
+    return ((a1 == a0) & (b1 == b0)) | ((a1 == b1) & (a0 == b0))
+
+
+def beta_superiority_vec(
+    al1, be1, al0, be0, table, carry: BetaCarry | None = None
+) -> np.ndarray:
+    """P(X1 > X0) elementwise for beta posteriors with integer parameters.
+
+    ``table`` holds gammaln(0..M) for M beyond every parameter sum.  Without
+    ``carry`` (or with an empty one) the value is the exact finite sum, whose
+    cost grows with the smallest parameter.  A filled ``carry`` is stepped
+    from its last parameters to these, which may only grow, at O(1) per unit
+    increment; the result is then also the carry's state, not to be modified
+    in place.  Identical posteriors, and pairs of posteriors that are each
+    symmetric about 1/2, give exactly 0.5.
+    """
+    if carry is not None and carry.h is not None:
+        h = _beta_sup_step(carry, (al1, be1, al0, be0))
+    else:
+        h = _beta_sup_exact(al1, be1, al0, be0, table)
+        if carry is not None:
+            carry.params = tuple(np.array(p, dtype=np.float64) for p in (al1, be1, al0, be0))
+            carry.log_g = _beta_log_g(al1, be1, al0, be0, table)
+    h[_symmetric(al1, be1, al0, be0)] = 0.5  # the sums land either side of it
+    if carry is not None:
+        carry.h = h
+    return h
 
 
 def normal_superiority_vec(m1, v1, m0, v0):
@@ -449,7 +581,8 @@ def superiority_probability(
 
     Gamma and normal posteriors use their closed forms for any parameters;
     beta posteriors use the finite sum when a parameter is an integer and
-    adaptive quadrature (absolute tolerance 1e-10) otherwise.  For the normal
+    adaptive quadrature (absolute tolerance 1e-10) otherwise; symmetric beta
+    pairs give exactly 0.5, as in ``beta_superiority_vec``.  For the normal
     family ``sds`` must supply the known (control, experimental) outcome
     standard deviations.
 
@@ -464,7 +597,9 @@ def superiority_probability(
     elif isinstance(prior, BetaPrior):
         a1, b1 = beta_posterior(prior, post_exp)
         a0, b0 = beta_posterior(prior, post_ctrl)
-        if any(_is_integral(v) for v in (a1, a0, b0, b1)):
+        if _symmetric(a1, b1, a0, b0):
+            larger = 0.5
+        elif any(_is_integral(v) for v in (a1, a0, b0, b1)):
             larger = beta_superiority_closed(a1, b1, a0, b0)
         else:
             larger = _quadrature_superiority(stats.beta(a1, b1), stats.beta(a0, b0))

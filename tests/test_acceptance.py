@@ -621,12 +621,24 @@ scenarios:
       - {ap: timedirect}
       - {comparator: lr, mode: nominal}
       - {comparator: lr, mode: nominal, on_er: true, name: lr-er}
+  - name: determinism-binary
+    design: {kind: standard, total_n: 30, burn_in: 6, block_size: 2}
+    outcome: {family: bernoulli, control: 0.5, experimental: [0.75]}
+    prior: {kind: beta, alpha: 1, beta: 1}
+    alpha: 0.05
+    seed: 321
+    replicates: {calibration: 20000, evaluation: 3000}
+    tests:
+      - {ap: original}
+      - {ap: timedirect}
+      - {comparator: fisher, mode: nominal}
 """
 
 
 def test_criterion_9_determinism(tmp_path):
     """Identical manifests give byte-identical outputs; worker-process count
-    does not change a single byte."""
+    does not change a single byte.  The binary scenario's calibration spans
+    two chunks, each with its own carried beta recurrence."""
     config = tmp_path / "scenario.yaml"
     config.write_text(ACCEPTANCE_CONFIG)
     outs = {}

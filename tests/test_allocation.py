@@ -125,6 +125,13 @@ class TestSimulateTrial:
         with pytest.raises(NumericalError, match="not finite"):
             simulate_trial(small_design(), model, NormalPrior(0.0, 1.0), derive_rng(4))
 
+    def test_overflowing_draw_is_numerical_not_data(self):
+        # 1 / 1e-310 overflows, so the model itself draws inf; user data with
+        # an inf outcome stays a DataError (test_models)
+        model = OutcomeModel(Exponential(1.0e-310, 2.0e-310))
+        with pytest.raises(NumericalError, match="drawn from the exponential model"):
+            simulate_trial(small_design(), model, PRIOR, derive_rng(4))
+
     def test_probability_path_length_and_range(self):
         traj = simulate_trial(small_design(), MODEL_EFFECT, PRIOR, derive_rng(2))
         assert traj.alloc_probs.shape == (13,)

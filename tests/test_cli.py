@@ -100,6 +100,56 @@ class TestLoadConfig:
         assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"scenarios[0].{key_path}: applies only to" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, key_path, expected",
+        [
+            ("total_n: 30,", "total_n: 30.9,", "design.total_n", "an integer"),
+            ("burn_in: 6,", "burn_in: true,", "design.burn_in", "an integer"),
+            ("block_size: 2}", "block_size: '2'}", "design.block_size", "an integer"),
+            ("calibration: 3000,", "calibration: 3000.5,", "replicates.calibration",
+             "an integer"),
+            ("evaluation: 1000}", "evaluation: 1.0e3}", "replicates.evaluation",
+             "an integer"),
+            ("seed: 5", "seed: 5.5", "seed", "an integer"),
+            ("- {ap: lastblock}", "- {ap: lastblock, t_min: 2.5}", "tests[0].t_min",
+             "an integer"),
+            ("on_er: true, name: lr-er}", "on_er: 'no', name: lr-er}", "tests[2].on_er",
+             "true or false"),
+            ("- {ap: lastblock}",
+             "- {ap: custom, name: c, f: indicator, strict: 'false', "
+             "weights: [0,0,0,0,0,0,0,0,0,0,0,0,1]}",
+             "tests[0].strict", "true or false"),
+            ("- {ap: lastblock}",
+             "- {ap: custom, name: c, f: indicator, strict: 0, "
+             "weights: [0,0,0,0,0,0,0,0,0,0,0,0,1]}",
+             "tests[0].strict", "true or false"),
+        ],
+    )
+    def test_mistyped_value_rejected(self, tmp_path, capsys, old, new, key_path, expected):
+        # YAML reads 1.0e3 as the string "1.0e3", so it is not a number either
+        assert old in GOOD_CONFIG
+        config = tmp_path / "c.yaml"
+        config.write_text(GOOD_CONFIG.replace(old, new))
+        assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"scenarios[0].{key_path}: expected {expected}" in capsys.readouterr().err
+
+    def test_integral_float_and_yaml_booleans_accepted(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text(
+            GOOD_CONFIG.replace("total_n: 30,", "total_n: 30.0,")
+            .replace("on_er: true", "on_er: yes")
+            .replace(
+                "- {ap: lastblock}",
+                "- {ap: custom, name: c, f: indicator, strict: false, "
+                "weights: [0,0,0,0,0,0,0,0,0,0,0,0,1]}",
+            )
+        )
+        spec = load_config(path)[0]
+        assert spec.design.total_n == 30 and isinstance(spec.design.total_n, int)
+        entries = {e.name: e for e in spec.tests}
+        assert entries["lr-er"].on_er is True
+        assert entries["c"].spec.f.strict is False
+
     def test_prior_family_mismatch_reported(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text(GOOD_CONFIG.replace("kind: gamma, shape: 1.0, rate: 0.001",

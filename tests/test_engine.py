@@ -6,7 +6,7 @@ import pytest
 from scipy import special
 
 from aptest import engine
-from aptest.allocation import DesignConfig, TunedBRAR, simulate_trial
+from aptest.allocation import DesignConfig, StandardBRAR, TunedBRAR, simulate_trial
 from aptest.engine import CHUNK_SIZE, derive_rng, simulate_batch
 from aptest.errors import ConfigError, NumericalError
 from aptest.harness import equal_randomization_design
@@ -49,6 +49,39 @@ class TestVectorizedSuperiority:
                 float(al1[i]), float(be1[i]), float(al0[i]), float(be0[i])
             )
             assert abs(vec[i] - scalar) < 1e-11
+
+
+class TestBetaCarry:
+    """The engine's carried beta recurrence against the exact sum per block."""
+
+    @pytest.mark.parametrize("block_size", [1, 5])
+    @pytest.mark.parametrize("tuned", [False, True])
+    @pytest.mark.parametrize("direction", ["larger", "smaller"])
+    def test_carried_run_matches_exact_run(self, monkeypatch, block_size, tuned, direction):
+        design = DesignConfig(
+            60, 10, block_size, 50 // block_size, design=TunedBRAR() if tuned else StandardBRAR()
+        )
+        model = OutcomeModel(Bernoulli(0.55, 0.7), direction)
+        prior = BetaPrior(1.0, 1.0)
+        tests = (original_ap_test(), timedirect_ap_test(), lastblock_ap_test())
+        carried = simulate_batch(design, model, prior, tests, 3000, seed=11)
+
+        kernel = engine.beta_superiority_vec
+        calls = []
+
+        def exact_only(*args, carry=None):
+            calls.append(carry is not None)
+            return kernel(*args)
+
+        monkeypatch.setattr(engine, "beta_superiority_vec", exact_only)
+        exact = simulate_batch(design, model, prior, tests, 3000, seed=11)
+        # every adaptive block offers the carry; the final block T+1 does not
+        assert calls == [True] * design.num_blocks + [False]
+        assert np.array_equal(carried.n_experimental, exact.n_experimental)
+        for name in exact.statistics:
+            np.testing.assert_allclose(
+                carried.statistics[name], exact.statistics[name], rtol=1e-9, atol=0
+            )
 
 
 class TestDeterminism:

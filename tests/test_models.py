@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from aptest.errors import ConfigError, DataError, NumericalError
 from aptest.models import (
@@ -22,6 +22,7 @@ from aptest.models import (
     NormalPrior,
     OutcomeModel,
     beta_superiority_closed,
+    beta_superiority_vec,
     gamma_superiority_vec,
     initial_posterior,
     sample_outcome,
@@ -132,6 +133,8 @@ class TestPosteriorUpdating:
             update_posterior(initial_posterior("exponential"), 0, -1.0)
         with pytest.raises(DataError):
             update_posterior(initial_posterior("normal"), 0, float("nan"))
+        with pytest.raises(DataError):
+            update_posterior(initial_posterior("exponential"), 0, float("inf"))
 
 
 class TestGammaSuperiority:
@@ -225,6 +228,29 @@ class TestBetaSuperiority:
             mirrored = beta_superiority_closed(b0, a0, b1, a1)
             assert abs(direct - swapped) < 1e-12
             assert abs(direct - mirrored) < 1e-12
+
+    def test_symmetric_posteriors_give_exactly_half(self):
+        # P(X1 > X0) = 1/2 exactly for identical posteriors and for two
+        # posteriors each symmetric about 1/2 (a1 == b1, a0 == b0).  The sums
+        # land within ~1e-13 either side, which would let rounding decide a
+        # strict pi > 0.5 indicator.
+        a, b = (g.ravel() for g in np.meshgrid(np.arange(1, 61), np.arange(1, 61)))
+        table = special.gammaln(np.arange(256, dtype=np.float64))
+        assert np.all(beta_superiority_vec(a, b, a, b, table) == 0.5)
+        assert np.all(beta_superiority_vec(a, a, b, b, table) == 0.5)
+        prior = BetaPrior(1.0, 1.0)
+        for n in range(0, 60, 3):
+            for s in range(0, n + 1, 2):
+                arm = ArmPosterior(n, float(s))
+                assert superiority_probability(arm, arm, prior) == 0.5
+                balanced = ArmPosterior(2 * s, float(s))
+                other = ArmPosterior(2 * n, float(n))
+                assert superiority_probability(balanced, other, prior) == 0.5
+        jeffreys = ArmPosterior(9, 4.0)
+        assert superiority_probability(jeffreys, jeffreys, BetaPrior(0.5, 0.5)) == 0.5
+        assert superiority_probability(
+            ArmPosterior(8, 4.0), ArmPosterior(2, 1.0), BetaPrior(0.5, 0.5)
+        ) == 0.5
 
     def test_overwhelming_evidence(self):
         prior = BetaPrior(1.0, 1.0)

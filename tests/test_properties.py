@@ -4,20 +4,28 @@ Hypothesis draws posterior states for each family; the conftest profile
 derandomizes the draws, so every run checks the same examples.
 """
 
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import special
 
 from aptest.engine import _PosteriorVec
 from aptest.models import (
     ArmPosterior,
     Bernoulli,
+    BetaCarry,
     BetaPrior,
     Exponential,
     GammaPrior,
     NormalKnownVar,
     NormalPrior,
     OutcomeModel,
+    beta_superiority_vec,
     superiority_probability,
 )
 from tests.test_models import quadrature_gamma_superiority
@@ -132,3 +140,103 @@ def test_non_integer_gamma_shapes_match_quadrature(shape, rate, exp, ctrl):
         shape + exp[0], rate + exp[1], shape + ctrl[0], rate + ctrl[1]
     )
     assert abs(p - oracle) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The carried beta recurrence against the exact sum and exact rationals
+# ---------------------------------------------------------------------------
+
+BETA_TABLE = special.gammaln(np.arange(512, dtype=np.float64))
+
+
+def exact_beta_superiority(a1: int, b1: int, a0: int, b0: int) -> Fraction:
+    """P(X1 > X0) in exact rationals: the finite sum over i < a1."""
+
+    def beta(x, y):
+        return Fraction(factorial(x - 1) * factorial(y - 1), factorial(x + y - 1))
+
+    base = beta(a0, b0)
+    return sum(
+        beta(a0 + i, b0 + b1) / ((b1 + i) * beta(1 + i, b1) * base) for i in range(a1)
+    )
+
+
+@st.composite
+def carried_paths(draw, start_ranges, max_step):
+    """Start parameters (4, n) and per-call increments (calls, 4, n)."""
+    n = draw(st.integers(1, 12))
+    start = np.stack([draw(arrays(np.int64, n, elements=st.integers(*r))) for r in start_ranges])
+    calls = draw(st.integers(1, 8))
+    steps = draw(arrays(np.int64, (calls, 4, n), elements=st.integers(0, max_step)))
+    return start, steps
+
+
+@given(carried_paths([(1, 60)] * 4, 6))
+def test_beta_carry_matches_exact_sum(path):
+    # increments up to 6 per parameter per call: blocks of size B > 1, and
+    # elements that grow by different amounts in one call
+    start, steps = path
+    carry = BetaCarry()
+    first = beta_superiority_vec(*start, BETA_TABLE, carry=carry)
+    assert np.array_equal(first, beta_superiority_vec(*start, BETA_TABLE))
+    params = start
+    for step in steps:
+        params = params + step
+        carried = beta_superiority_vec(*params, BETA_TABLE, carry=carry)
+        exact = beta_superiority_vec(*params, BETA_TABLE)
+        assert np.max(np.abs(carried - exact)) < 1e-11
+        assert np.array_equal(carry.params, params)
+
+
+@given(carried_paths([(1, 5), (10, 30), (10, 30), (1, 5)], 3))
+def test_beta_carry_relative_accuracy_in_the_tail(path):
+    # experimental arm low, control high: P(X1 > X0) from ~1e-2 down to ~1e-12
+    start, steps = path
+    carry = BetaCarry()
+    beta_superiority_vec(*start, BETA_TABLE, carry=carry)
+    params = start
+    for step in steps:
+        params = params + step
+        carried = beta_superiority_vec(*params, BETA_TABLE, carry=carry)
+    for i in range(params.shape[1]):
+        oracle = float(exact_beta_superiority(*(int(v) for v in params[:, i])))
+        assert abs(carried[i] - oracle) <= 1e-9 * oracle
+
+
+def test_beta_carry_steps_onto_symmetric_states_exactly():
+    a, b = (g.ravel() for g in np.meshgrid(np.arange(2, 40), np.arange(1, 40)))
+    carry = BetaCarry()
+    beta_superiority_vec(a, b, a - 1, b, BETA_TABLE, carry=carry)
+    assert np.all(beta_superiority_vec(a, b, a, b, BETA_TABLE, carry=carry) == 0.5)
+    carry = BetaCarry()
+    beta_superiority_vec(a - 1, a, b, b, BETA_TABLE, carry=carry)
+    assert np.all(beta_superiority_vec(a, a, b, b, BETA_TABLE, carry=carry) == 0.5)
+
+
+def test_beta_carry_rejects_shrinking_parameters():
+    one = np.array([3]), np.array([4]), np.array([5]), np.array([6])
+    carry = BetaCarry()
+    beta_superiority_vec(*one, BETA_TABLE, carry=carry)
+    with pytest.raises(ValueError, match="only grow"):
+        beta_superiority_vec(one[0] - 1, *one[1:], BETA_TABLE, carry=carry)
+
+
+@pytest.mark.parametrize("per_call", [1, 1500])
+def test_beta_carry_survives_long_lopsided_trials(per_call):
+    # g = B(a0+a1, b0+b1) / (B(a1,b1) B(a0,b0)) falls to ~1e-900 here and must
+    # come back once the arms meet again.  With 1500 unit steps in one call,
+    # the linear factor on g must be folded into log g along the way.
+    table = special.gammaln(np.arange(8192, dtype=np.float64))
+    carry = BetaCarry()
+    params = np.array([[1], [1], [1], [1]])
+    beta_superiority_vec(*params, table, carry=carry)
+    for step in ([1, 0, 0, 1], [0, 1, 1, 0]):
+        for _ in range(1500 // per_call):
+            params = params + per_call * np.array(step)[:, None]
+            beta_superiority_vec(*params, table, carry=carry)
+    a1, b1, a0, b0 = (float(v) for v in params[:, 0])
+    log_g = special.betaln(a0 + a1, b0 + b1) - special.betaln(a1, b1) - special.betaln(a0, b0)
+    assert abs(carry.log_g[0] - log_g) < 1e-9
+    params = params + np.array([[3], [0], [0], [0]])
+    carried = beta_superiority_vec(*params, table, carry=carry)
+    assert abs(carried[0] - beta_superiority_vec(*params, table)[0]) < 1e-11
