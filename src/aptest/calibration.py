@@ -46,7 +46,9 @@ class NullSpec:
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
-            raise ConfigError("calibration replicates must be >= 1")
+            raise ConfigError(f"calibration replicates must be >= 1, got {self.replicates}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.model.param_control != self.model.param_experimental:
             raise ConfigError(
                 "null model must have equal arms: "
@@ -210,23 +212,3 @@ def calibrate_under_pooled(
     )
     return calibrate(null, tests, alpha, threads=threads)
 
-
-def export_critical_values(
-    path,
-    values: dict[str, CriticalValue],
-    replicates: int,
-    seed: int,
-    null_description: str,
-) -> None:
-    """Write a delimited critical-value table."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            "test\talpha\tq_alpha\tachieved_alpha\tdegenerate_max\t"
-            "replicates\tseed\tnull_model\n"
-        )
-        for name, cv in values.items():
-            fh.write(
-                f"{name}\t{cv.alpha_nominal:.10g}\t{cv.q_alpha:.10g}"
-                f"\t{cv.achieved_alpha:.10g}\t{int(cv.degenerate_max)}"
-                f"\t{replicates}\t{seed}\t{null_description}\n"
-            )

@@ -12,6 +12,7 @@ import dataclasses
 import logging
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +20,6 @@ import yaml
 
 from . import __version__
 from .allocation import DesignConfig, EqualRandomization, StandardBRAR, TunedBRAR
-from .calibration import export_critical_values
 from .errors import ConfigError, NumericalError
 from .harness import (
     CALIBRATED,
@@ -28,6 +28,7 @@ from .harness import (
     PerformanceReport,
     ScenarioSpec,
     TestEntry,
+    export_critical_values,
     export_report,
     model_label,
     run_scenario,
@@ -116,6 +117,29 @@ def _integer(node: dict, key: str, path: str, default: int | None = None) -> int
     return int(value)
 
 
+def _as_number(value, path: str) -> float:
+    """A finite YAML number; booleans and strings (YAML reads 1.0e3 as one) are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _number(node: dict, key: str, path: str, default: float | None = None) -> float:
+    value = _require(node, key, path) if default is None else node.get(key, default)
+    return _as_number(value, f"{path}.{key}")
+
+
+@contextmanager
+def _at(path: str):
+    """Prefix a constructor's ConfigError with the config path it was built from."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _boolean(node: dict, key: str, path: str, default: bool) -> bool:
     """A YAML boolean key; strings such as "false" or "no" are rejected."""
     value = node.get(key, default)
@@ -129,7 +153,9 @@ def _parse_design(node, path: str) -> DesignConfig:
     _check_keys(node, {"kind", "total_n", "burn_in", "block_size", "permuted_block_size"}, path)
     kind = node.get("kind", "standard")
     if kind == "er":
-        design = EqualRandomization(_integer(node, "permuted_block_size", path, 8))
+        permuted_block_size = _integer(node, "permuted_block_size", path, 8)
+        with _at(path):
+            design = EqualRandomization(permuted_block_size)
     elif kind in ("standard", "tuned"):
         _reject(node, ("permuted_block_size",), path, "applies only to kind: er")
         design = StandardBRAR() if kind == "standard" else TunedBRAR()
@@ -144,7 +170,7 @@ def _parse_design(node, path: str) -> DesignConfig:
             f"{path}: total_n - burn_in = {remaining} is not a whole number "
             f"of blocks of size {block_size}"
         )
-    try:
+    with _at(path):
         return DesignConfig(
             total_n=total_n,
             burn_in=burn_in,
@@ -152,8 +178,6 @@ def _parse_design(node, path: str) -> DesignConfig:
             num_blocks=remaining // block_size,
             design=design,
         )
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_models(node, path: str) -> tuple[OutcomeModel, tuple[OutcomeModel, ...]]:
@@ -172,23 +196,23 @@ def _parse_models(node, path: str) -> tuple[OutcomeModel, tuple[OutcomeModel, ..
     if family != "normal":
         _reject(node, ("sd_control", "sd_experimental"), path, "applies only to family: normal")
     direction = node.get("direction", "larger")
-    control = float(_require(node, "control", path))
+    control = _number(node, "control", path)
     raw = _require(node, "experimental", path)
-    experimental = [float(v) for v in (raw if isinstance(raw, list) else [raw])]
+    experimental = [
+        _as_number(v, f"{path}.experimental") for v in (raw if isinstance(raw, list) else [raw])
+    ]
+    if family == "normal":
+        sds = (_number(node, "sd_control", path), _number(node, "sd_experimental", path))
 
     def build(exp_value: float) -> OutcomeModel:
-        if family == "exponential":
-            fam = Exponential(control, exp_value)
-        elif family == "bernoulli":
-            fam = Bernoulli(control, exp_value)
-        else:
-            fam = NormalKnownVar(
-                control,
-                exp_value,
-                float(_require(node, "sd_control", path)),
-                float(_require(node, "sd_experimental", path)),
-            )
-        return OutcomeModel(fam, direction)
+        with _at(path):
+            if family == "exponential":
+                fam = Exponential(control, exp_value)
+            elif family == "bernoulli":
+                fam = Bernoulli(control, exp_value)
+            else:
+                fam = NormalKnownVar(control, exp_value, *sds)
+            return OutcomeModel(fam, direction)
 
     null_model = build(control)
     alternatives = []
@@ -205,16 +229,14 @@ def _parse_models(node, path: str) -> tuple[OutcomeModel, tuple[OutcomeModel, ..
 def _parse_prior(node, path: str):
     node = _expect_mapping(node, path)
     kind = _require(node, "kind", path)
-    if kind == "gamma":
-        _check_keys(node, {"kind", "shape", "rate"}, path)
-        return GammaPrior(float(_require(node, "shape", path)), float(_require(node, "rate", path)))
-    if kind == "beta":
-        _check_keys(node, {"kind", "alpha", "beta"}, path)
-        return BetaPrior(float(_require(node, "alpha", path)), float(_require(node, "beta", path)))
-    if kind == "normal":
-        _check_keys(node, {"kind", "mean", "variance"}, path)
-        return NormalPrior(float(_require(node, "mean", path)), float(_require(node, "variance", path)))
-    raise ConfigError(f"{path}.kind: must be gamma, beta, or normal, got {kind!r}")
+    priors = {"gamma": GammaPrior, "beta": BetaPrior, "normal": NormalPrior}
+    if not isinstance(kind, str) or kind not in priors:
+        raise ConfigError(f"{path}.kind: must be gamma, beta, or normal, got {kind!r}")
+    keys = [f.name for f in dataclasses.fields(priors[kind])]
+    _check_keys(node, {"kind", *keys}, path)
+    values = [_number(node, key, path) for key in keys]
+    with _at(path):
+        return priors[kind](*values)
 
 
 _AP_BUILDERS = {
@@ -244,40 +266,35 @@ def _parse_test(node, path: str) -> TestEntry:
         _reject(node, ("t_min",), path, "applies only to AP tests")
     if "comparator" in node:
         kind = node["comparator"]
-        name = node.get("name", kind + ("-er" if on_er else ""))
-        spec = ComparatorTest(kind, name)
+        name = node.get("name", f"{kind}-er" if on_er else kind)
+        with _at(path):
+            spec = ComparatorTest(kind, name)
     else:
         ap = node["ap"]
         t_min = _integer(node, "t_min", path, 1)
-        if ap in _AP_BUILDERS:
-            spec = _AP_BUILDERS[ap](t_min=t_min, name=node.get("name", ap))
+        if isinstance(ap, str) and ap in _AP_BUILDERS:
+            with _at(path):
+                spec = _AP_BUILDERS[ap](t_min=t_min, name=node.get("name", ap))
         elif ap == "custom":
-            if "weights" not in node:
-                raise ConfigError(f"{path}.weights: custom AP tests need weights")
+            weights = _require(node, "weights", path)
+            if not isinstance(weights, list):
+                raise ConfigError(f"{path}.weights: expected a list of numbers, got {weights!r}")
+            w = tuple(_as_number(v, f"{path}.weights[{i}]") for i, v in enumerate(weights))
             f_kind = node.get("f", "identity")
-            if f_kind == "identity":
-                f = Identity()
-            elif f_kind == "indicator":
-                f = Indicator(
-                    threshold=float(node.get("threshold", 0.5)),
-                    strict=_boolean(node, "strict", path, True),
-                )
-            else:
+            if f_kind not in ("identity", "indicator"):
                 raise ConfigError(f"{path}.f: must be identity or indicator")
-            spec = APTestSpec(
-                name=_require(node, "name", path),
-                f=f,
-                w=CustomWeights(tuple(float(v) for v in node["weights"])),
-                t_min=t_min,
-            )
+            name = _require(node, "name", path)
+            threshold = _number(node, "threshold", path, 0.5)
+            strict = _boolean(node, "strict", path, True)
+            with _at(path):
+                f = Indicator(threshold, strict) if f_kind == "indicator" else Identity()
+                spec = APTestSpec(name=name, f=f, w=CustomWeights(w), t_min=t_min)
         else:
             raise ConfigError(
                 f"{path}.ap: must be original, timedirect, lastblock, or custom"
             )
-    try:
+    with _at(path):
         return TestEntry(spec, mode=mode, on_er=on_er)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _parse_scenario(node, index: int) -> ScenarioSpec:
@@ -302,7 +319,8 @@ def _parse_scenario(node, index: int) -> ScenarioSpec:
     replicates_eval = _integer(reps, "evaluation", f"{path}.replicates", 10**5)
     replicates_calib = _integer(reps, "calibration", f"{path}.replicates", 10**6)
     seed = _integer(node, "seed", path, 0)
-    try:
+    alpha = _number(node, "alpha", path, 0.05)
+    with _at(path):
         return ScenarioSpec(
             name=str(node.get("name", f"scenario-{index}")),
             design=design,
@@ -310,13 +328,11 @@ def _parse_scenario(node, index: int) -> ScenarioSpec:
             null_model=null_model,
             alternative_models=alternatives,
             tests=tests,
-            alpha=float(node.get("alpha", 0.05)),
+            alpha=alpha,
             replicates_eval=replicates_eval,
             replicates_calib=replicates_calib,
             seed=seed,
         )
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def load_config(path) -> list[ScenarioSpec]:

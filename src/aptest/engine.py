@@ -41,8 +41,8 @@ from .models import (
 from .stats import (
     APTestSpec,
     ComparatorTest,
-    Indicator,
     TestSpec,
+    apply_transform,
     block_weights,
     fisher_statistic_from_counts,
     lr_exponential_from_counts,
@@ -185,9 +185,6 @@ def _simulate_chunk(
     size: int,
     rng: np.random.Generator,
 ) -> BatchResult:
-    if not design.is_adaptive:
-        return _simulate_chunk_er(design, model, prior, tests, size, rng)
-
     T = design.num_blocks
     post = _PosteriorVec(model, prior, size, design.total_n)
 
@@ -203,64 +200,40 @@ def _simulate_chunk(
     def record(pi: np.ndarray, t: int) -> None:
         for spec in ap_specs:
             w = weight_by_block[spec.name][t]
-            if w == 0.0:
-                continue
-            if isinstance(spec.f, Indicator):
-                hits = pi > spec.f.threshold if spec.f.strict else pi >= spec.f.threshold
-                acc[spec.name] += w * hits
+            if w != 0.0:
+                acc[spec.name] += w * apply_transform(spec.f, pi)
+
+    if design.is_adaptive:
+        half = design.burn_in // 2
+        full = np.full(size, half, dtype=np.int64)
+        post.absorb(full, full, rng)
+
+        B = design.block_size
+        tuned = design.is_tuned
+        for t in range(1, T + 1):
+            pi = post.superiority()
+            if tuned:
+                pi = tune_probability(pi, t, T)
+            record(pi, t)
+            if B == 1:
+                k1 = (rng.random(size) < pi).astype(np.int64)
             else:
-                acc[spec.name] += w * pi
+                k1 = rng.binomial(B, pi)
+            post.absorb(k1, B - k1, rng)
 
-    half = design.burn_in // 2
-    full = np.full(size, half, dtype=np.int64)
-    post.absorb(full, full, rng)
+        # Hypothetical final block: untuned posterior probability from all data,
+        # from the exact sum rather than the carried recurrence.
+        record(post.superiority(exact=True), T + 1)
+    else:
+        # equal randomization balances all N subjects; odd N leaves one to a coin
+        n1 = np.full(size, design.total_n // 2, dtype=np.int64)
+        if design.total_n % 2:
+            n1 += rng.integers(0, 2, size)
+        post.absorb(n1, design.total_n - n1, rng)
 
-    B = design.block_size
-    tuned = design.is_tuned
-    for t in range(1, T + 1):
-        pi = post.superiority()
-        if tuned:
-            pi = tune_probability(pi, t, T)
-        record(pi, t)
-        if B == 1:
-            k1 = (rng.random(size) < pi).astype(np.int64)
-        else:
-            k1 = rng.binomial(B, pi)
-        post.absorb(k1, B - k1, rng)
-
-    # Hypothetical final block: untuned posterior probability from all data,
-    # from the exact sum rather than the carried recurrence.
-    record(post.superiority(exact=True), T + 1)
-
-    stats_out = dict(acc)
-    _add_comparators(stats_out, tests, post, model)
+    _add_comparators(acc, tests, post, model)
     return BatchResult(
-        statistics=stats_out,
-        n_experimental=post.n1.copy(),
-        outcome_total=(post.s1 + post.s0).astype(np.float64),
-    )
-
-
-def _simulate_chunk_er(
-    design: DesignConfig,
-    model: OutcomeModel,
-    prior: PriorSpec,
-    tests: tuple[TestSpec, ...],
-    size: int,
-    rng: np.random.Generator,
-) -> BatchResult:
-    pbs = design.design.permuted_block_size
-    full_blocks, leftover = divmod(design.total_n, pbs)
-    n1 = np.full(size, full_blocks * (pbs // 2) + leftover // 2, dtype=np.int64)
-    if leftover % 2:
-        n1 += rng.integers(0, 2, size)
-    n0 = design.total_n - n1
-    post = _PosteriorVec(model, prior, size, design.total_n)
-    post.absorb(n1, n0, rng)
-    stats_out: dict[str, np.ndarray] = {}
-    _add_comparators(stats_out, tests, post, model)
-    return BatchResult(
-        statistics=stats_out,
+        statistics=acc,
         n_experimental=post.n1.copy(),
         outcome_total=(post.s1 + post.s0).astype(np.float64),
     )

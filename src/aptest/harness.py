@@ -14,6 +14,7 @@ import dataclasses
 import logging
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -97,6 +98,10 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
+        if self.replicates_eval < 1:
+            raise ConfigError(f"replicates_eval must be >= 1, got {self.replicates_eval}")
+        # the calibration budget, the seed and the null's equal arms, as calibration checks them
+        NullSpec(self.design, self.null_model, self.prior, self.replicates_calib, self.seed)
         for m in self.alternative_models:
             if m.kind != self.null_model.kind:
                 raise ConfigError("alternative models must share the null's family")
@@ -208,7 +213,6 @@ class PerformanceReport:
 
     scenario: str
     rows: list[ReportRow]
-    benefit: dict[tuple[str, str], BenefitSummary]
     critical_values: dict[str, CriticalValue]
     replicates_eval: int
     replicates_calib: int
@@ -261,9 +265,7 @@ def run_scenario(spec: ScenarioSpec, threads: int = 1) -> PerformanceReport:
         )
 
     rows: list[ReportRow] = []
-    benefit: dict[tuple[str, str], BenefitSummary] = {}
     for mi, model in enumerate(spec.model_grid()):
-        label = _label_of(model)
         for role, design, entries in roles:
             batch = simulate_batch(
                 design,
@@ -276,7 +278,6 @@ def run_scenario(spec: ScenarioSpec, threads: int = 1) -> PerformanceReport:
                 threads=threads,
             )
             cell_benefit = patient_benefit(batch, model, design)
-            benefit[(label, design.label())] = cell_benefit
             for e in entries:
                 if e.mode == CALIBRATED:
                     threshold = critical_values[e.name].q_alpha
@@ -314,7 +315,6 @@ def run_scenario(spec: ScenarioSpec, threads: int = 1) -> PerformanceReport:
     return PerformanceReport(
         scenario=spec.name,
         rows=rows,
-        benefit=benefit,
         critical_values=critical_values,
         replicates_eval=spec.replicates_eval,
         replicates_calib=spec.replicates_calib,
@@ -359,25 +359,26 @@ def sample_size_sweep(
 # Delimited export
 # ---------------------------------------------------------------------------
 
+#: Report headers that differ from their ReportRow attribute names.
+_RENAMED_HEADERS = {
+    "design_label": "design",
+    "total_n": "N",
+    "block_size": "B",
+    "burn_in": "Bprime",
+    "param_control": "param_ctrl",
+    "param_experimental": "param_exp",
+}
+
 #: (header, ReportRow attribute) for every report column, in file order.
-REPORT_COLUMNS = (
-    ("scenario", "scenario"),
-    ("design", "design_label"),
-    ("N", "total_n"),
-    ("B", "block_size"),
-    ("Bprime", "burn_in"),
-    ("family", "family"),
-    ("param_ctrl", "param_control"),
-    ("param_exp", "param_experimental"),
-    ("test", "test"),
-    ("mode", "mode"),
-    ("alpha", "alpha"),
-    ("rejection_rate", "rejection_rate"),
-    ("mc_se", "mc_se"),
-    ("pct_better_mean", "pct_better_mean"),
-    ("pct_better_sd", "pct_better_sd"),
-    ("mean_outcome", "mean_outcome"),
-    ("seed", "seed"),
+REPORT_COLUMNS = tuple(
+    (_RENAMED_HEADERS.get(f.name, f.name), f.name) for f in dataclasses.fields(ReportRow)
+)
+
+#: Critical-value table columns; the header is the row attribute.
+_CRITICAL_VALUE_COLUMNS = tuple(
+    (name, name)
+    for name in ("test", "alpha", "q_alpha", "achieved_alpha", "degenerate_max", "replicates",
+                 "seed", "null_model")
 )
 
 
@@ -410,3 +411,27 @@ def export_report(path, report: PerformanceReport) -> None:
             f"replicates_calib={report.replicates_calib}\n"
         ),
     )
+
+
+def export_critical_values(
+    path,
+    values: dict[str, CriticalValue],
+    replicates: int,
+    seed: int,
+    null_description: str,
+) -> None:
+    """Write a delimited critical-value table; ``degenerate_max`` is written 0 or 1."""
+    rows = [
+        SimpleNamespace(
+            test=name,
+            alpha=cv.alpha_nominal,
+            q_alpha=cv.q_alpha,
+            achieved_alpha=cv.achieved_alpha,
+            degenerate_max=int(cv.degenerate_max),
+            replicates=replicates,
+            seed=seed,
+            null_model=null_description,
+        )
+        for name, cv in values.items()
+    ]
+    write_rows(path, rows, _CRITICAL_VALUE_COLUMNS)

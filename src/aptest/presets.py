@@ -23,6 +23,7 @@ from .models import (
     Exponential,
     GammaPrior,
     OutcomeModel,
+    PriorSpec,
 )
 from .stats import ComparatorTest, lastblock_ap_test, original_ap_test, timedirect_ap_test
 
@@ -83,23 +84,18 @@ def _exp_model(rate_control: float, rate_experimental: float) -> OutcomeModel:
     return OutcomeModel(Exponential(rate_control, rate_experimental))
 
 
-def _exponential_tests(mode_ap_original: str, mode_lr: str, mode_er: str) -> tuple[TestEntry, ...]:
+def _battery(comparator: str, mode: str, two_sided: bool = False) -> tuple[TestEntry, ...]:
+    """The AP trio, then ``comparator`` on the primary and the equal-randomization design.
+
+    ``mode`` applies to the integer AP test and both comparators; the
+    continuous AP tests have no nominal form and are always calibrated.
+    """
     return (
-        TestEntry(original_ap_test(), mode=mode_ap_original),
+        TestEntry(original_ap_test(), mode=mode),
         TestEntry(timedirect_ap_test(), mode=CALIBRATED),
         TestEntry(lastblock_ap_test(), mode=CALIBRATED),
-        TestEntry(ComparatorTest("lr", "lr"), mode=mode_lr),
-        TestEntry(ComparatorTest("lr", "lr-er"), mode=mode_er, on_er=True),
-    )
-
-
-def _binary_tests(mode_ap_original: str, mode_fisher: str, mode_er: str) -> tuple[TestEntry, ...]:
-    return (
-        TestEntry(original_ap_test(), mode=mode_ap_original),
-        TestEntry(timedirect_ap_test(), mode=CALIBRATED),
-        TestEntry(lastblock_ap_test(), mode=CALIBRATED),
-        TestEntry(ComparatorTest("fisher", "fisher"), mode=mode_fisher),
-        TestEntry(ComparatorTest("fisher", "fisher-er"), mode=mode_er, on_er=True),
+        TestEntry(ComparatorTest(comparator, comparator, two_sided), mode=mode),
+        TestEntry(ComparatorTest(comparator, f"{comparator}-er", two_sided), mode=mode, on_er=True),
     )
 
 
@@ -143,10 +139,7 @@ def _phase_jobs(
         for label, design in designs
     )
     # Patient-benefit cells at the 50% treatment effect; evaluation only.
-    benefit_tests = (
-        TestEntry(ComparatorTest("lr", "lr"), mode=NOMINAL),
-        TestEntry(ComparatorTest("lr", "lr-er"), mode=NOMINAL, on_er=True),
-    )
+    benefit_tests = tuple(e for e in _battery("lr", NOMINAL) if isinstance(e.spec, ComparatorTest))
     benefit = tuple(
         PresetJob(
             _scenario(
@@ -177,7 +170,7 @@ def phase2(seed: int, budget: Budget) -> tuple[PresetJob, ...]:
         burn_in=10,
         block_size=1,
         alpha=0.10,
-        tests=_exponential_tests(NOMINAL, NOMINAL, NOMINAL),
+        tests=_battery("lr", NOMINAL),
         figure="fig1",
         seed=seed,
         budget=budget,
@@ -192,7 +185,7 @@ def phase3(seed: int, budget: Budget) -> tuple[PresetJob, ...]:
         burn_in=50,
         block_size=10,
         alpha=0.05,
-        tests=_exponential_tests(CALIBRATED, CALIBRATED, CALIBRATED),
+        tests=_battery("lr", CALIBRATED),
         figure="fig2",
         seed=seed,
         budget=budget,
@@ -209,7 +202,7 @@ def type1_curve_preset(seed: int, budget: Budget) -> tuple[PresetJob, ...]:
             design=design,
             prior=VAGUE_GAMMA_PRIOR,
             null_model=_exp_model(1.0, 1.0),
-            tests=_exponential_tests(NOMINAL, NOMINAL, NOMINAL),
+            tests=_battery("lr", NOMINAL),
             alpha=0.05,
         )
         for label, design in _brar_designs(total_n=100, burn_in=10, block_size=1)
@@ -229,12 +222,35 @@ def large_sample(seed: int, budget: Budget) -> tuple[PresetJob, ...]:
             prior=VAGUE_GAMMA_PRIOR,
             null_model=_exp_model(1.0, 1.0),
             alternative_models=(_exp_model(1.0, rate),),
-            tests=_exponential_tests(NOMINAL, NOMINAL, NOMINAL),
+            tests=_battery("lr", NOMINAL),
             alpha=0.05,
         )
         for rate in (1.5, 2.0)
     )
     return _sweep_jobs(templates, budget, "fig4")
+
+
+def _empirical_jobs(
+    seed: int, budget: Budget, endpoint: str, family: type, control: float,
+    experimental: float, prior: PriorSpec, tests: tuple[TestEntry, ...],
+) -> tuple[PresetJob, ...]:
+    """The empirical example's N=121, burn-in 12 designs under strict 5% control."""
+    return tuple(
+        PresetJob(
+            _scenario(
+                seed,
+                budget,
+                name=f"empirical-{endpoint}-{label}",
+                design=design,
+                prior=prior,
+                null_model=OutcomeModel(family(control, control)),
+                alternative_models=(OutcomeModel(family(control, experimental)),),
+                tests=tests,
+                alpha=0.05,
+            )
+        )
+        for label, design in _brar_designs(total_n=121, burn_in=12, block_size=1)
+    )
 
 
 def empirical_exponential(seed: int, budget: Budget) -> tuple[PresetJob, ...]:
@@ -244,52 +260,17 @@ def empirical_exponential(seed: int, budget: Budget) -> tuple[PresetJob, ...]:
     chi-square threshold), the convention of the study this scenario models;
     the AP tests are inherently one-sided.
     """
-    tests = (
-        TestEntry(original_ap_test(), mode=CALIBRATED),
-        TestEntry(timedirect_ap_test(), mode=CALIBRATED),
-        TestEntry(lastblock_ap_test(), mode=CALIBRATED),
-        TestEntry(ComparatorTest("lr", "lr", two_sided=True), mode=CALIBRATED),
-        TestEntry(ComparatorTest("lr", "lr-er", two_sided=True), mode=CALIBRATED, on_er=True),
-    )
-    return tuple(
-        PresetJob(
-            _scenario(
-                seed,
-                budget,
-                name=f"empirical-exponential-{label}",
-                design=design,
-                prior=VAGUE_GAMMA_PRIOR,
-                null_model=_exp_model(EMPIRICAL_RATE_CONTROL, EMPIRICAL_RATE_CONTROL),
-                alternative_models=(
-                    _exp_model(EMPIRICAL_RATE_CONTROL, EMPIRICAL_RATE_EXPERIMENTAL),
-                ),
-                tests=tests,
-                alpha=0.05,
-            )
-        )
-        for label, design in _brar_designs(total_n=121, burn_in=12, block_size=1)
+    return _empirical_jobs(
+        seed, budget, "exponential", Exponential, EMPIRICAL_RATE_CONTROL,
+        EMPIRICAL_RATE_EXPERIMENTAL, VAGUE_GAMMA_PRIOR, _battery("lr", CALIBRATED, two_sided=True),
     )
 
 
 def empirical_binary(seed: int, budget: Budget) -> tuple[PresetJob, ...]:
     """Hemostasis-within-10-minutes example: binary endpoint, strict control."""
-    return tuple(
-        PresetJob(
-            _scenario(
-                seed,
-                budget,
-                name=f"empirical-binary-{label}",
-                design=design,
-                prior=FLAT_BETA_PRIOR,
-                null_model=OutcomeModel(Bernoulli(EMPIRICAL_P_CONTROL, EMPIRICAL_P_CONTROL)),
-                alternative_models=(
-                    OutcomeModel(Bernoulli(EMPIRICAL_P_CONTROL, EMPIRICAL_P_EXPERIMENTAL)),
-                ),
-                tests=_binary_tests(CALIBRATED, CALIBRATED, CALIBRATED),
-                alpha=0.05,
-            )
-        )
-        for label, design in _brar_designs(total_n=121, burn_in=12, block_size=1)
+    return _empirical_jobs(
+        seed, budget, "binary", Bernoulli, EMPIRICAL_P_CONTROL, EMPIRICAL_P_EXPERIMENTAL,
+        FLAT_BETA_PRIOR, _battery("fisher", CALIBRATED),
     )
 
 

@@ -142,9 +142,9 @@ def block_weights(spec: APTestSpec, num_blocks: int) -> np.ndarray:
 
 
 def apply_transform(f: Transform, probs: np.ndarray) -> np.ndarray:
+    """f(pi) per element: boolean hits for the indicator, float probabilities otherwise."""
     if isinstance(f, Indicator):
-        hits = probs > f.threshold if f.strict else probs >= f.threshold
-        return hits.astype(np.float64)
+        return probs > f.threshold if f.strict else probs >= f.threshold
     return np.asarray(probs, dtype=np.float64)
 
 

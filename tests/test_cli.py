@@ -123,6 +123,22 @@ class TestLoadConfig:
              "- {ap: custom, name: c, f: indicator, strict: 0, "
              "weights: [0,0,0,0,0,0,0,0,0,0,0,0,1]}",
              "tests[0].strict", "true or false"),
+            ("control: 1.0,", "control: abc,", "outcome.control", "a number"),
+            ("experimental: [1.8]}", "experimental: [.inf]}", "outcome.experimental",
+             "a finite number"),
+            ("shape: 1.0,", "shape: [1],", "prior.shape", "a number"),
+            ("shape: 1.0,", "shape: true,", "prior.shape", "a number"),
+            ("rate: 0.001}", "rate: 1.0e3}", "prior.rate", "a number"),
+            ("alpha: 0.05", "alpha: high", "alpha", "a number"),
+            ("- {ap: lastblock}", "- {ap: custom, name: c, weights: 3}", "tests[0].weights",
+             "a list of numbers"),
+            ("- {ap: lastblock}",
+             "- {ap: custom, name: c, weights: [0,0,0,0,0,0,0,0,0,0,0,0,.nan]}",
+             "tests[0].weights[12]", "a finite number"),
+            ("- {ap: lastblock}",
+             "- {ap: custom, name: c, f: indicator, threshold: '0.6', "
+             "weights: [0,0,0,0,0,0,0,0,0,0,0,0,1]}",
+             "tests[0].threshold", "a number"),
         ],
     )
     def test_mistyped_value_rejected(self, tmp_path, capsys, old, new, key_path, expected):
@@ -132,6 +148,41 @@ class TestLoadConfig:
         config.write_text(GOOD_CONFIG.replace(old, new))
         assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert f"scenarios[0].{key_path}: expected {expected}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("experimental: [1.8]}", "experimental: [1.8], direction: up}",
+             "scenarios[0].outcome: better_direction must be"),
+            ("control: 1.0,", "control: -1.0,",
+             "scenarios[0].outcome: exponential rates must be strictly positive"),
+            ("shape: 1.0,", "shape: -1.0,",
+             "scenarios[0].prior: gamma prior shape must be strictly positive"),
+            ("kind: standard,", "kind: er, permuted_block_size: 3,",
+             "scenarios[0].design: permuted block size must be even"),
+            ("{comparator: lr, mode: nominal}", "{comparator: ttest, mode: nominal}",
+             "scenarios[0].tests[1]: unknown comparator kind 'ttest'"),
+            ("- {ap: lastblock}",
+             "- {ap: custom, name: c, f: indicator, threshold: 1.5, "
+             "weights: [0,0,0,0,0,0,0,0,0,0,0,0,1]}",
+             "scenarios[0].tests[0]: indicator threshold must lie in (0, 1)"),
+            ("evaluation: 1000}", "evaluation: 0}",
+             "scenarios[0]: replicates_eval must be >= 1, got 0"),
+            ("evaluation: 1000}", "evaluation: -5}",
+             "scenarios[0]: replicates_eval must be >= 1, got -5"),
+            ("calibration: 3000,", "calibration: 0,",
+             "scenarios[0]: calibration replicates must be >= 1, got 0"),
+            ("seed: 5", "seed: -1", "scenarios[0]: seed must be >= 0, got -1"),
+        ],
+    )
+    def test_out_of_range_value_reports_path(self, tmp_path, capsys, old, new, message):
+        assert old in GOOD_CONFIG
+        config = tmp_path / "c.yaml"
+        config.write_text(GOOD_CONFIG.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_integral_float_and_yaml_booleans_accepted(self, tmp_path):
         path = tmp_path / "c.yaml"
@@ -239,6 +290,21 @@ class TestManifest:
         assert spec.seed == 99
         assert spec.replicates_eval == 500
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--replicates-eval", "0", "replicates_eval must be >= 1, got 0"),
+            ("--replicates-calib", "0", "calibration replicates must be >= 1, got 0"),
+            ("--seed", "-1", "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_out_of_range_override_rejected_in_manifest(self, tmp_path, flag, value, message):
+        path = tmp_path / "c.yaml"
+        path.write_text(GOOD_CONFIG)
+        args = build_parser().parse_args(["--config", str(path), flag, value])
+        with pytest.raises(ConfigError, match=message):
+            build_manifest(args)
+
     def test_mode_override_spares_continuous_ap(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text(GOOD_CONFIG)
@@ -292,6 +358,12 @@ class TestEndToEnd:
             ),
             # custom weights cover blocks 1..13 here, so 3 values are too few
             (("- {ap: lastblock}", "- {ap: custom, name: w3, weights: [1, 1, 1]}"),),
+            (("evaluation: 1000}", "evaluation: 0}"),),
+            (("evaluation: 1000}", "evaluation: -5}"),),
+            (("seed: 5", "seed: -1"),),
+            (("shape: 1.0,", "shape: true,"),),
+            (("experimental: [1.8]}", "experimental: [1.8], direction: up}"),),
+            (("{comparator: lr, mode: nominal}", "{comparator: ttest, mode: nominal}"),),
         ],
     )
     def test_later_scenario_fails_before_any_output(self, tmp_path, capsys, second_replace):

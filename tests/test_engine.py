@@ -6,7 +6,13 @@ import pytest
 from scipy import special
 
 from aptest import engine
-from aptest.allocation import DesignConfig, StandardBRAR, TunedBRAR, simulate_trial
+from aptest.allocation import (
+    DesignConfig,
+    EqualRandomization,
+    StandardBRAR,
+    TunedBRAR,
+    simulate_trial,
+)
 from aptest.engine import CHUNK_SIZE, derive_rng, simulate_batch
 from aptest.errors import ConfigError, NumericalError
 from aptest.harness import equal_randomization_design
@@ -278,3 +284,24 @@ class TestAgainstPerTrialSimulation:
         # 15 full blocks of 8 give exactly 60; the odd leftover adds a fair coin
         assert set(np.unique(batch.n_experimental)) == {60, 61}
         assert abs((batch.n_experimental == 61).mean() - 0.5) < 0.02
+
+    @pytest.mark.parametrize("total_n", [40, 41, 43])
+    def test_er_result_independent_of_permuted_block_size(self, total_n):
+        # even block sizes balance all N subjects alike; only odd N draws a coin
+        model = OutcomeModel(Bernoulli(0.4, 0.6))
+        tests = (ComparatorTest("fisher", "fisher"),)
+        batches = [
+            simulate_batch(
+                DesignConfig(total_n, 2, 1, total_n - 2, EqualRandomization(pbs)),
+                model, BetaPrior(1.0, 1.0), tests, 3000, seed=8,
+            )
+            for pbs in (2, 4, 8)
+        ]
+        for batch in batches[1:]:
+            assert batch.statistics.keys() == batches[0].statistics.keys()
+            assert np.array_equal(batch.statistics["fisher"], batches[0].statistics["fisher"])
+            assert np.array_equal(batch.n_experimental, batches[0].n_experimental)
+            assert np.array_equal(batch.outcome_total, batches[0].outcome_total)
+        assert set(np.unique(batches[0].n_experimental)) == (
+            {total_n // 2} if total_n % 2 == 0 else {total_n // 2, total_n // 2 + 1}
+        )

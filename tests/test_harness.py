@@ -93,6 +93,20 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match="does not apply"):
             tiny_scenario(tests=(TestEntry(ComparatorTest("z", "z-er"), on_er=True),))
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(replicates_eval=0), "replicates_eval must be >= 1"),
+            (dict(replicates_calib=0), "calibration replicates must be >= 1"),
+            (dict(seed=-1), "seed must be >= 0"),
+            (dict(null_model=OutcomeModel(Exponential(1.0, 1.2))),
+             "null model must have equal arms"),
+        ],
+    )
+    def test_budgets_seed_and_null_checked_at_construction(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            tiny_scenario(**overrides)
+
     def test_ap_test_on_er_rejected(self):
         with pytest.raises(ConfigError):
             TestEntry(lastblock_ap_test(), on_er=True)

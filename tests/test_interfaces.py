@@ -7,9 +7,9 @@ import time
 import pytest
 
 from aptest.allocation import DesignConfig, simulate_trial
-from aptest.calibration import NullSpec, calibrate, export_critical_values
+from aptest.calibration import NullSpec, calibrate
 from aptest.engine import derive_rng, simulate_batch
-from aptest.harness import ScenarioSpec, TestEntry, run_scenario
+from aptest.harness import ScenarioSpec, TestEntry, export_critical_values, run_scenario
 from aptest.models import (
     ArmPosterior,
     BetaPrior,
