@@ -111,10 +111,22 @@ def _integer(node: dict, key: str, path: str, default: int | None = None) -> int
     if (
         isinstance(value, bool)
         or not isinstance(value, (int, float))
-        or not float(value).is_integer()
+        or (isinstance(value, float) and not value.is_integer())
     ):
         raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(
+            f"{path}.{key}: expected an integer within floating-point range, got {value!r}"
+        )
     return int(value)
+
+
+def _string(node: dict, key: str, path: str, default: str | None = None) -> str:
+    """A string-valued key; YAML numbers and lists are not names."""
+    value = _require(node, key, path) if default is None else node.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}.{key}: expected a string, got {value!r}")
+    return value
 
 
 def _as_number(value, path: str) -> float:
@@ -266,15 +278,16 @@ def _parse_test(node, path: str) -> TestEntry:
         _reject(node, ("t_min",), path, "applies only to AP tests")
     if "comparator" in node:
         kind = node["comparator"]
-        name = node.get("name", f"{kind}-er" if on_er else kind)
+        name = _string(node, "name", path, f"{kind}-er" if on_er else str(kind))
         with _at(path):
             spec = ComparatorTest(kind, name)
     else:
         ap = node["ap"]
         t_min = _integer(node, "t_min", path, 1)
         if isinstance(ap, str) and ap in _AP_BUILDERS:
+            name = _string(node, "name", path, ap)
             with _at(path):
-                spec = _AP_BUILDERS[ap](t_min=t_min, name=node.get("name", ap))
+                spec = _AP_BUILDERS[ap](t_min=t_min, name=name)
         elif ap == "custom":
             weights = _require(node, "weights", path)
             if not isinstance(weights, list):
@@ -283,7 +296,7 @@ def _parse_test(node, path: str) -> TestEntry:
             f_kind = node.get("f", "identity")
             if f_kind not in ("identity", "indicator"):
                 raise ConfigError(f"{path}.f: must be identity or indicator")
-            name = _require(node, "name", path)
+            name = _string(node, "name", path)
             threshold = _number(node, "threshold", path, 0.5)
             strict = _boolean(node, "strict", path, True)
             with _at(path):
@@ -459,7 +472,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--alpha", type=float, default=None, help="significance level override")
     parser.add_argument("--replicates-eval", type=int, default=None)
     parser.add_argument("--replicates-calib", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1, help="worker processes")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="worker processes, at most the CPU count"
+    )
     parser.add_argument("--out", type=Path, default=Path("results"), help="output directory")
     parser.add_argument(
         "--mode",

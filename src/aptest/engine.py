@@ -9,10 +9,15 @@ memory stays O(chunk) regardless of trial length.
 
 The per-block random stream order is: allocation counts, experimental-arm
 outcome sums, control-arm outcome sums.
+
+At more than one thread every chunk runs on one process pool that lives for
+the whole process (``shared_pool``), so several batches can share it.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -274,6 +279,37 @@ def _chunk_task(args) -> BatchResult:
     return _simulate_chunk(design, model, prior, tests, size, rng)
 
 
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+_pool_lock = threading.Lock()
+
+
+def pool_workers(threads: int) -> int:
+    """Worker processes of the shared pool at ``threads``: at most the CPU count."""
+    return min(threads, os.cpu_count() or 1)
+
+
+def shared_pool(threads: int) -> ProcessPoolExecutor:
+    """The process-wide pool of ``pool_workers(threads)`` workers, every one started.
+
+    Built on first use and replaced only when a call asks for another size.
+    Under the fork start method (Linux's default) no worker re-imports numpy
+    and scipy, and every worker is forked here, in the calling thread:
+    call this before starting threads that submit to the pool, since
+    forking a multi-threaded process is unsafe.
+    """
+    global _pool, _pool_workers
+    workers = pool_workers(threads)
+    with _pool_lock:
+        if _pool is None or _pool_workers != workers:
+            if _pool is not None:
+                _pool.shutdown()
+            _pool = ProcessPoolExecutor(max_workers=workers)
+            _pool_workers = workers
+            _pool.submit(int).result()  # under fork, the first submit starts every worker
+        return _pool
+
+
 def simulate_batch(
     design: DesignConfig,
     model: OutcomeModel,
@@ -288,7 +324,7 @@ def simulate_batch(
 
     All requested tests share the same simulated trajectories.  Results are
     identical for any ``threads`` value; chunks are reassembled in index
-    order.
+    order.  At ``threads > 1`` every chunk runs on ``shared_pool(threads)``.
     """
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
@@ -300,10 +336,8 @@ def simulate_batch(
         (design, model, prior, tests, size, seed, stream, index)
         for index, size in enumerate(sizes)
     ]
-    if threads > 1 and len(tasks) > 1:
-        # the pool starts every worker up front, so never more than there are chunks
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            parts = list(pool.map(_chunk_task, tasks))
+    if threads > 1:
+        parts = list(shared_pool(threads).map(_chunk_task, tasks))
     else:
         parts = [_chunk_task(task) for task in tasks]
     names = parts[0].statistics.keys()

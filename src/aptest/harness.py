@@ -11,8 +11,12 @@ power differences.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -26,7 +30,7 @@ from .calibration import (
     NullSpec,
     calibrate,
 )
-from .engine import BatchResult, simulate_batch, validate_battery
+from .engine import BatchResult, pool_workers, shared_pool, simulate_batch, validate_battery
 from .errors import ConfigError
 from .models import OutcomeModel, PriorSpec
 from .stats import APTestSpec, TestSpec, nominal_critical_value
@@ -245,38 +249,53 @@ def _mc_se(rate: float, replicates: int) -> float:
 
 
 def run_scenario(spec: ScenarioSpec, threads: int = 1) -> PerformanceReport:
-    """Calibrate, evaluate every model cell, and aggregate the report."""
+    """Calibrate, evaluate every model cell, and aggregate the report.
+
+    At ``threads > 1`` the calibrations and evaluation cells run concurrently
+    on the engine's shared pool; results are read in the serial order, so
+    the report is identical for any ``threads``.
+    """
     start = time.perf_counter()
     roles = spec.roles()
     critical_values: dict[str, CriticalValue] = {}
-    for role, design, entries in roles:
-        to_calibrate = tuple(e.spec for e in entries if e.mode == CALIBRATED)
-        if not to_calibrate:
-            continue
-        null = NullSpec(
-            design=design,
-            model=spec.null_model,
-            prior=spec.prior,
-            replicates=spec.replicates_calib,
-            seed=spec.seed,
-        )
-        critical_values.update(
-            calibrate(null, to_calibrate, spec.alpha, threads=threads, stream=(role,))
-        )
-
     rows: list[ReportRow] = []
-    for mi, model in enumerate(spec.model_grid()):
+    with _batch_calls(threads) as submit:
+        calibrations = []
         for role, design, entries in roles:
-            batch = simulate_batch(
-                design,
-                model,
-                spec.prior,
-                tuple(e.spec for e in entries),
-                spec.replicates_eval,
-                spec.seed,
-                stream=(STREAM_EVALUATION, role, mi),
-                threads=threads,
+            to_calibrate = tuple(e.spec for e in entries if e.mode == CALIBRATED)
+            if not to_calibrate:
+                continue
+            null = NullSpec(
+                design=design,
+                model=spec.null_model,
+                prior=spec.prior,
+                replicates=spec.replicates_calib,
+                seed=spec.seed,
             )
+            calibrations.append(
+                submit(calibrate, null, to_calibrate, spec.alpha, threads=threads, stream=(role,))
+            )
+        cells = deque()
+        for mi, model in enumerate(spec.model_grid()):
+            for role, design, entries in roles:
+                pending = submit(
+                    simulate_batch,
+                    design,
+                    model,
+                    spec.prior,
+                    tuple(e.spec for e in entries),
+                    spec.replicates_eval,
+                    spec.seed,
+                    stream=(STREAM_EVALUATION, role, mi),
+                    threads=threads,
+                )
+                cells.append((model, design, entries, pending))
+        for calibration in calibrations:
+            critical_values.update(calibration.result())
+        while cells:
+            # popped, so each batch is freed once its rows are made
+            model, design, entries, pending = cells.popleft()
+            batch = pending.result()
             cell_benefit = patient_benefit(batch, model, design)
             for e in entries:
                 if e.mode == CALIBRATED:
@@ -321,6 +340,39 @@ def run_scenario(spec: ScenarioSpec, threads: int = 1) -> PerformanceReport:
         seed=spec.seed,
         wall_time=time.perf_counter() - start,
     )
+
+
+class _Deferred:
+    """A call made when its result is read: the one-thread stand-in for a future."""
+
+    def __init__(self, fn, *args, **kwargs):
+        self._call = functools.partial(fn, *args, **kwargs)
+
+    def result(self):
+        return self._call()
+
+
+@contextmanager
+def _batch_calls(threads: int):
+    """Yield ``submit(fn, *args, **kwargs)`` for a scenario's batch calls.
+
+    At one thread a call runs when its result is read, so calls run in the
+    order results are read.  At more, calls run at once on threads that only
+    wait for the engine's shared pool: no more threads than the pool has
+    workers, started after the pool so that no worker is forked from a
+    multi-threaded process.  On an error, calls not yet started are dropped.
+    """
+    if threads == 1:
+        yield _Deferred
+        return
+    shared_pool(threads)
+    calls = ThreadPoolExecutor(max_workers=pool_workers(threads))
+    try:
+        yield calls.submit
+    except BaseException:
+        calls.shutdown(cancel_futures=True)
+        raise
+    calls.shutdown()
 
 
 def _reported_outcome(b: BenefitSummary, model: OutcomeModel) -> float:

@@ -111,6 +111,8 @@ class TestLoadConfig:
             ("evaluation: 1000}", "evaluation: 1.0e3}", "replicates.evaluation",
              "an integer"),
             ("seed: 5", "seed: 5.5", "seed", "an integer"),
+            ("total_n: 30,", "total_n: " + "9" * 400 + ",", "design.total_n",
+             "an integer within floating-point range"),
             ("- {ap: lastblock}", "- {ap: lastblock, t_min: 2.5}", "tests[0].t_min",
              "an integer"),
             ("on_er: true, name: lr-er}", "on_er: 'no', name: lr-er}", "tests[2].on_er",
@@ -139,6 +141,8 @@ class TestLoadConfig:
              "- {ap: custom, name: c, f: indicator, threshold: '0.6', "
              "weights: [0,0,0,0,0,0,0,0,0,0,0,0,1]}",
              "tests[0].threshold", "a number"),
+            ("- {ap: lastblock}", "- {ap: lastblock, name: [1]}", "tests[0].name", "a string"),
+            ("- {ap: lastblock}", "- {ap: lastblock, name: 7}", "tests[0].name", "a string"),
         ],
     )
     def test_mistyped_value_rejected(self, tmp_path, capsys, old, new, key_path, expected):
@@ -378,7 +382,8 @@ class TestEndToEnd:
         assert "scenarios[1]" in capsys.readouterr().err
         assert not list(out.glob("*.tsv"))
 
-    def test_non_finite_probability_exits_numerical(self, tmp_path, capsys):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_non_finite_probability_exits_numerical(self, tmp_path, capsys, threads):
         # outcomes overflow to inf, so the posterior rates and the
         # superiority probability are NaN
         config = tmp_path / "c.yaml"
@@ -387,7 +392,8 @@ class TestEndToEnd:
                                 "control: 1.0e-310, experimental: [2.0e-310]")
         )
         out = tmp_path / "out"
-        assert main(["--config", str(config), "--out", str(out)]) == EXIT_NUMERICAL
+        argv = ["--config", str(config), "--out", str(out), "--threads", threads]
+        assert main(argv) == EXIT_NUMERICAL
         assert "not finite" in capsys.readouterr().err
         assert not list(out.glob("*.tsv"))
 

@@ -1,6 +1,12 @@
 """Batched replication engine: correctness against the scalar path and
 determinism under chunking and process-level parallelism."""
 
+import os
+import sys
+import threading
+import time
+from concurrent.futures import Executor, Future
+
 import numpy as np
 import pytest
 from scipy import special
@@ -119,36 +125,62 @@ class TestDeterminism:
             assert np.array_equal(serial.statistics[name], parallel.statistics[name])
         assert np.array_equal(serial.outcome_total, parallel.outcome_total)
 
-    def test_pool_workers_capped_at_chunk_count(self, monkeypatch):
-        # a stand-in executor: records the worker count and runs in-process,
-        # so no worker is ever started
-        requested = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
-        design = equal_randomization_design(10)
-        model = OutcomeModel(Exponential(1.0, 1.0))
-        batch = simulate_batch(design, model, PRIOR, (), 2 * CHUNK_SIZE + 1, seed=1, threads=500)
-        assert requested == [3]
-        assert batch.replicates == 2 * CHUNK_SIZE + 1
-
     def test_replicate_count_not_multiple_of_chunk(self):
         design = DesignConfig(20, 10, 1, 10)
         model = OutcomeModel(Exponential(1.0, 1.0))
         batch = simulate_batch(design, model, PRIOR, (), CHUNK_SIZE + 5, seed=1)
         assert batch.replicates == CHUNK_SIZE + 5
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """A stand-in for the engine's process pool: records the worker count of
+    every pool built and runs chunks in-process, so no worker is started."""
+    built = []
+
+    class InlinePool(Executor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            time.sleep(0.01)  # a real pool takes this long to start, so racing callers overlap
+
+        def submit(self, fn, *args, **kwargs):
+            done = Future()
+            done.set_result(fn(*args, **kwargs))
+            return done
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(engine, "_pool", None)
+    monkeypatch.setattr(engine, "_pool_workers", 0)
+    return built
+
+
+class TestSharedPool:
+    def test_one_pool_sized_at_cpu_count(self, inline_pool):
+        design = equal_randomization_design(10)
+        model = OutcomeModel(Exponential(1.0, 1.0))
+        for replicates in (2 * CHUNK_SIZE + 1, 5):
+            batch = simulate_batch(design, model, PRIOR, (), replicates, seed=1, threads=500)
+            assert batch.replicates == replicates
+        assert inline_pool == [min(500, os.cpu_count())]
+
+    def test_concurrent_callers_share_one_pool(self, inline_pool):
+        pools = []
+        callers = [
+            threading.Thread(target=lambda: pools.append(engine.shared_pool(2)))
+            for _ in range(16)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert inline_pool == [engine.pool_workers(2)]
+        assert len(pools) == 16 and all(p is pools[0] for p in pools)
 
 
 class TestBatteryValidation:

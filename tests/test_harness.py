@@ -5,7 +5,7 @@ import pytest
 
 from aptest import calibration, harness
 from aptest.allocation import DesignConfig
-from aptest.engine import simulate_batch
+from aptest.engine import CHUNK_SIZE, simulate_batch
 from aptest.errors import ConfigError
 from aptest.harness import (
     ScenarioSpec,
@@ -170,6 +170,23 @@ class TestRunScenario:
         b = run_scenario(tiny_scenario())
         assert a.rows == b.rows
         assert a.critical_values == b.critical_values
+
+    def test_worker_threads_reproduce_serial_report(self):
+        spec = tiny_scenario(
+            alternative_models=tuple(OutcomeModel(Exponential(1.0, r)) for r in (1.4, 1.8, 2.2)),
+            tests=(
+                TestEntry(lastblock_ap_test()),
+                TestEntry(ComparatorTest("lr", "lr"), mode="nominal"),
+                TestEntry(ComparatorTest("lr", "lr-er"), on_er=True),
+            ),
+            replicates_calib=CHUNK_SIZE + 1000,  # two chunks per calibration
+            replicates_eval=2000,
+        )
+        serial = run_scenario(spec, threads=1)
+        pooled = run_scenario(spec, threads=2)
+        assert len(serial.rows) == 12  # 4 models x 3 tests
+        assert pooled.rows == serial.rows
+        assert list(pooled.critical_values.items()) == list(serial.critical_values.items())
 
     def test_mc_se_formula(self):
         report = run_scenario(tiny_scenario())
