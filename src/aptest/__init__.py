@@ -8,7 +8,6 @@ from .allocation import (
     StandardBRAR,
     TrialTrajectory,
     TunedBRAR,
-    permuted_block_sequence,
     simulate_trial,
     tune_probability,
 )

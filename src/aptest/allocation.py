@@ -5,7 +5,9 @@ balance, then ``num_blocks`` adaptive blocks in which every subject shares
 one allocation probability.  After the last block a final allocation
 probability is computed from the complete data for the hypothetical next
 block; no subjects are allocated to it, but it carries the trial's residual
-evidence and is part of the recorded trajectory.
+evidence and is part of the recorded trajectory.  Equal randomization
+balances all N subjects as the batched engine does: N // 2 per arm, and a
+fair coin for the odd one.
 """
 
 from __future__ import annotations
@@ -31,13 +33,7 @@ from .models import (
 
 @dataclass(frozen=True)
 class EqualRandomization:
-    """Non-adaptive comparator: permuted blocks with forced balance."""
-
-    permuted_block_size: int = 8
-
-    def __post_init__(self) -> None:
-        if self.permuted_block_size < 2 or self.permuted_block_size % 2 != 0:
-            raise ConfigError("permuted block size must be even and >= 2")
+    """Non-adaptive comparator: N // 2 subjects per arm, a fair coin for odd N."""
 
 
 @dataclass(frozen=True)
@@ -134,35 +130,12 @@ def tune_probability(pi, t: int, num_blocks: int):
     return float(out) if np.isscalar(pi) else out
 
 
-def permuted_block_sequence(n: int, block: int, rng: np.random.Generator) -> np.ndarray:
-    """Arm labels for n subjects under a permuted block design.
-
-    Every complete block holds exactly block/2 subjects per arm in uniformly
-    random order; the leftover block is balanced as closely as possible, with
-    a fair coin deciding the extra arm when the leftover is odd.
-    """
-    if n < 1:
-        raise ConfigError("sequence length must be >= 1")
-    if block < 2 or block % 2 != 0:
-        raise ConfigError("permuted block size must be even and >= 2")
-    out = np.empty(n, dtype=np.int8)
-    half = np.repeat(np.array([0, 1], dtype=np.int8), block // 2)
-    pos = 0
-    while pos + block <= n:
-        out[pos : pos + block] = rng.permutation(half)
-        pos += block
-    leftover = n - pos
-    if leftover:
-        tail = np.repeat(np.array([0, 1], dtype=np.int8), leftover // 2)
-        if leftover % 2:
-            tail = np.append(tail, np.int8(rng.integers(0, 2)))
-        out[pos:] = rng.permutation(tail)
-    return out
-
-
-def _balanced_burn_in(burn_in: int, rng: np.random.Generator) -> np.ndarray:
-    half = np.repeat(np.array([0, 1], dtype=np.int8), burn_in // 2)
-    return rng.permutation(half)
+def _balanced_labels(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n // 2 labels per arm, a fair-coin label for odd n, in random order."""
+    labels = np.repeat(np.array([0, 1], dtype=np.int8), n // 2)
+    if n % 2:
+        labels = np.append(labels, np.int8(rng.integers(0, 2)))
+    return rng.permutation(labels)
 
 
 def simulate_trial(
@@ -177,9 +150,9 @@ def simulate_trial(
     one allocation probability, and their outcomes are treated as observed
     before the next block).  BRAR blocks allocate each subject by an
     independent Bernoulli draw at the block's probability; equal
-    randomization takes its labels from one permuted-block sequence over all
-    N subjects, and the probability path is recorded untuned, for
-    diagnostics only.
+    randomization takes its labels from one balanced sequence over all N
+    subjects (``_balanced_labels``), and the probability path is recorded
+    untuned, for diagnostics only.
 
     Within a block the random stream is consumed as: allocation draws
     (one batch), then outcomes in subject order.
@@ -195,11 +168,7 @@ def simulate_trial(
     tuned = design.is_tuned
     T = design.num_blocks
 
-    er_labels: np.ndarray | None = None
-    if not design.is_adaptive:
-        er_labels = permuted_block_sequence(
-            design.total_n, design.design.permuted_block_size, rng
-        )
+    er_labels = None if design.is_adaptive else _balanced_labels(design.total_n, rng)
 
     state = initial_posterior(model.kind)
     allocations: list[np.ndarray] = []
@@ -218,7 +187,7 @@ def simulate_trial(
     if er_labels is not None:
         run_block(er_labels[: design.burn_in])
     else:
-        run_block(_balanced_burn_in(design.burn_in, rng))
+        run_block(_balanced_labels(design.burn_in, rng))
 
     probs = np.empty(T + 1, dtype=np.float64)
     for t in range(1, T + 1):

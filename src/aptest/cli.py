@@ -19,7 +19,7 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .allocation import DesignConfig, EqualRandomization, StandardBRAR, TunedBRAR
+from .allocation import DesignConfig, StandardBRAR, TunedBRAR
 from .errors import ConfigError, NumericalError
 from .harness import (
     CALIBRATED,
@@ -28,6 +28,7 @@ from .harness import (
     PerformanceReport,
     ScenarioSpec,
     TestEntry,
+    equal_randomization_design,
     export_critical_values,
     export_report,
     model_label,
@@ -162,18 +163,15 @@ def _boolean(node: dict, key: str, path: str, default: bool) -> bool:
 
 def _parse_design(node, path: str) -> DesignConfig:
     node = _expect_mapping(node, path)
-    _check_keys(node, {"kind", "total_n", "burn_in", "block_size", "permuted_block_size"}, path)
+    _check_keys(node, {"kind", "total_n", "burn_in", "block_size"}, path)
     kind = node.get("kind", "standard")
-    if kind == "er":
-        permuted_block_size = _integer(node, "permuted_block_size", path, 8)
-        with _at(path):
-            design = EqualRandomization(permuted_block_size)
-    elif kind in ("standard", "tuned"):
-        _reject(node, ("permuted_block_size",), path, "applies only to kind: er")
-        design = StandardBRAR() if kind == "standard" else TunedBRAR()
-    else:
+    if kind not in ("standard", "tuned", "er"):
         raise ConfigError(f"{path}.kind: must be standard, tuned, or er, got {kind!r}")
     total_n = _integer(node, "total_n", path)
+    if kind == "er":
+        _reject(node, ("burn_in", "block_size"), path, "applies only to kind: standard or tuned")
+        with _at(path):
+            return equal_randomization_design(total_n)
     burn_in = _integer(node, "burn_in", path)
     block_size = _integer(node, "block_size", path, 1)
     remaining = total_n - burn_in
@@ -188,7 +186,7 @@ def _parse_design(node, path: str) -> DesignConfig:
             burn_in=burn_in,
             block_size=block_size,
             num_blocks=remaining // block_size,
-            design=design,
+            design=StandardBRAR() if kind == "standard" else TunedBRAR(),
         )
 
 
@@ -318,6 +316,10 @@ def _parse_scenario(node, index: int) -> ScenarioSpec:
         {"name", "design", "outcome", "prior", "alpha", "seed", "replicates", "tests"},
         path,
     )
+    # the name becomes the stem of the scenario's output files
+    name = _string(node, "name", path, f"scenario-{index}")
+    if "/" in name or "\0" in name:
+        raise ConfigError(f"{path}.name: must not contain '/' or NUL, got {name!r}")
     design = _parse_design(_require(node, "design", path), f"{path}.design")
     null_model, alternatives = _parse_models(_require(node, "outcome", path), f"{path}.outcome")
     prior = _parse_prior(_require(node, "prior", path), f"{path}.prior")
@@ -335,7 +337,7 @@ def _parse_scenario(node, index: int) -> ScenarioSpec:
     alpha = _number(node, "alpha", path, 0.05)
     with _at(path):
         return ScenarioSpec(
-            name=str(node.get("name", f"scenario-{index}")),
+            name=name,
             design=design,
             prior=prior,
             null_model=null_model,
@@ -360,7 +362,15 @@ def load_config(path) -> list[ScenarioSpec]:
     scenarios = doc.get("scenarios")
     if not isinstance(scenarios, list) or not scenarios:
         raise ConfigError(f"{path}.scenarios: expected a non-empty list")
-    return [_parse_scenario(node, i) for i, node in enumerate(scenarios)]
+    specs = [_parse_scenario(node, i) for i, node in enumerate(scenarios)]
+    names = [spec.name for spec in specs]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(
+                f"scenarios[{i}].name: {name!r} is already the name of "
+                f"scenarios[{names.index(name)}], and would overwrite its output files"
+            )
+    return specs
 
 
 # ---------------------------------------------------------------------------

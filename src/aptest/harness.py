@@ -74,7 +74,7 @@ class TestEntry:
 
 
 def equal_randomization_design(total_n: int) -> DesignConfig:
-    """Comparator design allocating all N subjects by permuted blocks of 8."""
+    """Comparator design balancing all N subjects: N // 2 per arm, a coin for odd N."""
     return DesignConfig(
         total_n=total_n,
         burn_in=2,
@@ -162,21 +162,18 @@ class BenefitSummary:
     pct_on_better_sd: float
     mean_outcome: float          # average outcome per subject
     mean_total_outcome: float    # average summed outcome per trial
-    better_arm_defaulted: bool   # arms equal: percentages refer to arm 1
 
 
 def patient_benefit(batch: BatchResult, model: OutcomeModel, design: DesignConfig) -> BenefitSummary:
     """Fraction of subjects on the truly better arm and the mean outcome.
 
     When the arms are exactly equal there is no better arm; the fraction is
-    reported for arm 1 and flagged.
+    reported for arm 1.
     """
     if batch.replicates == 0:
         raise ConfigError("empty batch")
-    better = model.better_arm()
-    defaulted = better is None
     n_better = batch.n_experimental
-    if better == 0:
+    if model.better_arm() == 0:
         n_better = design.total_n - batch.n_experimental
     frac = n_better / design.total_n
     return BenefitSummary(
@@ -184,7 +181,6 @@ def patient_benefit(batch: BatchResult, model: OutcomeModel, design: DesignConfi
         pct_on_better_sd=float(frac.std() * 100.0),
         mean_outcome=float(batch.outcome_total.mean() / design.total_n),
         mean_total_outcome=float(batch.outcome_total.mean()),
-        better_arm_defaulted=defaulted,
     )
 
 

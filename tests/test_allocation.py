@@ -8,7 +8,6 @@ from aptest.allocation import (
     EqualRandomization,
     StandardBRAR,
     TunedBRAR,
-    permuted_block_sequence,
     simulate_trial,
     tune_probability,
 )
@@ -76,34 +75,6 @@ class TestTuneProbability:
             pi = float(rng.uniform(0.001, 0.999))
             tuned = tune_probability(pi, 3, 20)
             assert (tuned > 0.5) == (pi > 0.5) or pi == 0.5
-
-
-class TestPermutedBlocks:
-    def test_single_block_exactly_balanced(self, rng):
-        seq = permuted_block_sequence(8, 8, rng)
-        assert seq.sum() == 4 and seq.size == 8
-
-    def test_leftover_block_balanced(self, rng):
-        seq = permuted_block_sequence(100, 8, rng)
-        assert seq.size == 100
-        for i in range(12):
-            assert seq[8 * i : 8 * (i + 1)].sum() == 4
-        assert seq[96:].sum() == 2
-
-    def test_odd_leftover_within_one(self, rng):
-        for _ in range(20):
-            seq = permuted_block_sequence(13, 8, rng)
-            assert seq[8:].sum() in (2, 3)
-
-    def test_first_subject_is_fair_coin(self, rng):
-        draws = np.array(
-            [permuted_block_sequence(8, 8, rng)[0] for _ in range(10**5)]
-        )
-        assert abs(draws.mean() - 0.5) < 0.005
-
-    def test_odd_block_size_rejected(self, rng):
-        with pytest.raises(ConfigError):
-            permuted_block_sequence(10, 7, rng)
 
 
 def small_design(kind=StandardBRAR()):
@@ -185,15 +156,29 @@ class TestSimulateTrial:
         raw = superiority_probability(state.experimental, state.control, PRIOR)
         assert traj.prob(design.num_blocks + 1) == raw
 
-    def test_er_uses_permuted_blocks_and_records_probs(self):
-        design = DesignConfig(30, 6, 2, 12, design=EqualRandomization(8))
-        traj = simulate_trial(design, MODEL_EFFECT, PRIOR, derive_rng(3))
-        flat = np.concatenate(traj.allocations)
-        # three complete permuted blocks of 8 + leftover 6
-        for i in range(3):
-            assert flat[8 * i : 8 * (i + 1)].sum() == 4
-        assert flat[24:].sum() == 3
-        assert np.all((traj.alloc_probs > 0) & (traj.alloc_probs < 1))
+    @pytest.mark.parametrize(
+        "design, counts",
+        [
+            (small_design(EqualRandomization()), {15}),
+            (DesignConfig(31, 6, 1, 25, design=EqualRandomization()), {15, 16}),
+        ],
+    )
+    def test_er_balances_all_subjects_and_records_probs(self, design, counts):
+        # the engine's rule: N // 2 per arm, one fair coin for odd N
+        for seed in range(10):
+            traj = simulate_trial(design, MODEL_EFFECT, PRIOR, derive_rng(seed))
+            assert traj.n_by_arm[1] in counts
+            assert sum(block.size for block in traj.allocations) == design.total_n
+            assert np.all((traj.alloc_probs > 0) & (traj.alloc_probs < 1))
+
+    def test_er_odd_subject_is_fair_coin(self):
+        design = DesignConfig(5, 2, 1, 3, design=EqualRandomization())
+        trials = 2000
+        extra = np.array(
+            [simulate_trial(design, MODEL_NULL, PRIOR, derive_rng(5, i)).n_by_arm[1] == 3
+             for i in range(trials)]
+        )
+        assert abs(extra.mean() - 0.5) < 5 * np.sqrt(0.25 / trials)
 
     def test_bernoulli_trial_runs(self):
         design = small_design()

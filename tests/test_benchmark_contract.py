@@ -46,3 +46,12 @@ def test_batch_plan_reads_preset_scenarios(perfbench):
     scenarios = [job.scenario for job in build_preset("phase3-desk")]
     counts = workloads.plan_counts(workloads.batch_plan(scenarios))
     assert counts["harness.cells"] == 32
+
+
+def test_observed_analysis_builds(perfbench):
+    # the observed workload builds its designs, models and priors through aptest's
+    # constructors at set-up; building one makes no simulation
+    observed = importlib.import_module("observed")
+    analysis = observed.Analysis(0, trials=1)
+    assert set(analysis.designs) == {"standard", "tuned"}
+    assert len(analysis.ap_specs) == len(observed.AP_TESTS)

@@ -31,6 +31,7 @@ scenarios:
       - {comparator: lr, mode: nominal}
       - {comparator: lr, mode: nominal, on_er: true, name: lr-er}
 """
+DESIGN = "kind: standard, total_n: 30, burn_in: 6, block_size: 2}"
 
 
 class TestLoadConfig:
@@ -85,8 +86,8 @@ class TestLoadConfig:
              "tests[0].threshold"),
             ("- {comparator: lr, mode: nominal}", "- {comparator: lr, mode: nominal, t_min: 7}",
              "tests[1].t_min"),
-            ("block_size: 2}", "block_size: 2, permuted_block_size: 4}",
-             "design.permuted_block_size"),
+            (DESIGN, "kind: er, total_n: 30, burn_in: 6}", "design.burn_in"),
+            (DESIGN, "kind: er, total_n: 30, block_size: 2}", "design.block_size"),
             ("experimental: [1.8]}", "experimental: [1.8], sd_control: 1.0}",
              "outcome.sd_control"),
             ("experimental: [1.8]}", "experimental: [1.8], sd_experimental: 1.0}",
@@ -162,8 +163,8 @@ class TestLoadConfig:
              "scenarios[0].outcome: exponential rates must be strictly positive"),
             ("shape: 1.0,", "shape: -1.0,",
              "scenarios[0].prior: gamma prior shape must be strictly positive"),
-            ("kind: standard,", "kind: er, permuted_block_size: 3,",
-             "scenarios[0].design: permuted block size must be even"),
+            (DESIGN, "kind: er, total_n: 1}",
+             "scenarios[0].design: number of blocks cannot be negative"),
             ("{comparator: lr, mode: nominal}", "{comparator: ttest, mode: nominal}",
              "scenarios[0].tests[1]: unknown comparator kind 'ttest'"),
             ("- {ap: lastblock}",
@@ -187,6 +188,46 @@ class TestLoadConfig:
         assert main(["--config", str(config), "--out", str(out)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "design",
+        [
+            "kind: standard, total_n: 30, burn_in: 6, block_size: 2, permuted_block_size: 8}",
+            "kind: er, total_n: 30, permuted_block_size: 8}",
+        ],
+    )
+    def test_permuted_block_size_is_unknown(self, tmp_path, capsys, design):
+        config = tmp_path / "c.yaml"
+        config.write_text(GOOD_CONFIG.replace(DESIGN, design))
+        assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "scenarios[0].design.permuted_block_size: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scenarios, key_path, expected",
+        [
+            (("name: dup", "name: dup"), "scenarios[1].name", "already the name of scenarios[0]"),
+            (("name: demo", "name: demo-2", "name: demo"), "scenarios[2].name",
+             "already the name of scenarios[0]"),
+            (("name: sub/x",), "scenarios[0].name", "must not contain '/'"),
+            (("name: ../escaped",), "scenarios[0].name", "must not contain '/'"),
+            (('name: "nul\\0"',), "scenarios[0].name", "must not contain '/' or NUL"),
+            (("name: 7",), "scenarios[0].name", "expected a string"),
+        ],
+    )
+    def test_unsafe_or_repeated_scenario_name_rejected(
+        self, tmp_path, capsys, scenarios, key_path, expected
+    ):
+        # the name is the stem of the scenario's output files
+        body = GOOD_CONFIG.replace("scenarios:\n", "")
+        config = tmp_path / "c.yaml"
+        config.write_text(
+            "scenarios:\n" + "".join(body.replace("name: demo", name) for name in scenarios)
+        )
+        out = tmp_path / "run" / "out"
+        assert main(["--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{key_path}: " in err and expected in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.yaml"]
 
     def test_integral_float_and_yaml_booleans_accepted(self, tmp_path):
         path = tmp_path / "c.yaml"
@@ -233,6 +274,13 @@ class TestPresets:
             assert jobs
             for job in jobs:
                 assert job.scenario.seed == 1
+
+    @pytest.mark.parametrize("preset", preset_names())
+    def test_preset_scenario_names_unique(self, preset):
+        # each scenario's name is the stem of its output files
+        names = [job.scenario.name for job in build_preset(preset)]
+        assert len(set(names)) == len(names)
+        assert not any("/" in name for name in names)
 
     def test_phase3_preset_matches_published_design(self):
         jobs = build_preset("phase3-desk")
@@ -344,6 +392,22 @@ class TestEndToEnd:
         assert main(["--config", str(config), "--out", str(out1), "--threads", "1"]) == 0
         assert main(["--config", str(config), "--out", str(out2), "--threads", "2"]) == 0
         assert (out1 / "demo_report.tsv").read_bytes() == (out2 / "demo_report.tsv").read_bytes()
+
+    def test_er_design_from_total_n_alone(self, tmp_path):
+        config = tmp_path / "c.yaml"
+        config.write_text(
+            GOOD_CONFIG.replace(DESIGN, "kind: er, total_n: 41}").replace(
+                "      - {ap: lastblock}\n", ""
+            )
+        )
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out)]) == 0
+        lines = (out / "demo_report.tsv").read_text().splitlines()[1:]
+        header = lines[0].split("\t")
+        rows = [dict(zip(header, line.split("\t"))) for line in lines[1:]]
+        assert len(rows) == 4  # 2 models x 2 tests
+        for row in rows:
+            assert (row["design"], row["N"], row["B"], row["Bprime"]) == ("er", "41", "1", "2")
 
     def test_config_error_exit_code(self, tmp_path):
         config = tmp_path / "c.yaml"

@@ -123,7 +123,6 @@ class TestPatientBenefit:
         batch = simulate_batch(design, model, PRIOR, (), 20000, seed=3)
         b = patient_benefit(batch, model, design)
         assert abs(b.pct_on_better_mean - 50.0) < 0.5
-        assert not b.better_arm_defaulted
 
     def test_all_subjects_on_better_arm_boundary(self):
         design = equal_randomization_design(10)
@@ -141,11 +140,12 @@ class TestPatientBenefit:
         b = patient_benefit(batch, model, design)
         assert b.pct_on_better_mean == 0.0
 
-    def test_equal_arms_flagged(self):
-        design = equal_randomization_design(10)
+    def test_equal_arms_report_arm_one_share(self):
+        # no arm is better, so the share is the experimental arm's
+        design = equal_randomization_design(11)
         batch = simulate_batch(design, NULL, PRIOR, (), 100, seed=3)
         b = patient_benefit(batch, NULL, design)
-        assert b.better_arm_defaulted
+        assert b.pct_on_better_mean == 100 * (batch.n_experimental / 11).mean()
 
 
 class TestRunScenario:
