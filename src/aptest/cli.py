@@ -122,12 +122,14 @@ def _integer(node: dict, key: str, path: str, default: int | None = None) -> int
     return int(value)
 
 
-def _string(node: dict, key: str, path: str, default: str | None = None) -> str:
-    """A string-valued key; YAML numbers and lists are not names."""
-    value = _require(node, key, path) if default is None else node.get(key, default)
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}.{key}: expected a string, got {value!r}")
-    return value
+def _name(node: dict, path: str, default: str | None = None) -> str:
+    """A scenario or test name: a string that fits in one field of the unescaped TSV reports."""
+    name = _require(node, "name", path) if default is None else node.get("name", default)
+    if not isinstance(name, str):
+        raise ConfigError(f"{path}.name: expected a string, got {name!r}")
+    if any(c in name for c in "\t\n\r"):
+        raise ConfigError(f"{path}.name: must not contain a tab or line break, got {name!r}")
+    return name
 
 
 def _as_number(value, path: str) -> float:
@@ -276,14 +278,14 @@ def _parse_test(node, path: str) -> TestEntry:
         _reject(node, ("t_min",), path, "applies only to AP tests")
     if "comparator" in node:
         kind = node["comparator"]
-        name = _string(node, "name", path, f"{kind}-er" if on_er else str(kind))
+        name = _name(node, path, f"{kind}-er" if on_er else str(kind))
         with _at(path):
             spec = ComparatorTest(kind, name)
     else:
         ap = node["ap"]
         t_min = _integer(node, "t_min", path, 1)
         if isinstance(ap, str) and ap in _AP_BUILDERS:
-            name = _string(node, "name", path, ap)
+            name = _name(node, path, ap)
             with _at(path):
                 spec = _AP_BUILDERS[ap](t_min=t_min, name=name)
         elif ap == "custom":
@@ -294,7 +296,7 @@ def _parse_test(node, path: str) -> TestEntry:
             f_kind = node.get("f", "identity")
             if f_kind not in ("identity", "indicator"):
                 raise ConfigError(f"{path}.f: must be identity or indicator")
-            name = _string(node, "name", path)
+            name = _name(node, path)
             threshold = _number(node, "threshold", path, 0.5)
             strict = _boolean(node, "strict", path, True)
             with _at(path):
@@ -317,7 +319,7 @@ def _parse_scenario(node, index: int) -> ScenarioSpec:
         path,
     )
     # the name becomes the stem of the scenario's output files
-    name = _string(node, "name", path, f"scenario-{index}")
+    name = _name(node, path, f"scenario-{index}")
     if "/" in name or "\0" in name:
         raise ConfigError(f"{path}.name: must not contain '/' or NUL, got {name!r}")
     design = _parse_design(_require(node, "design", path), f"{path}.design")

@@ -109,6 +109,9 @@ def validate_battery(
             raise ConfigError(
                 f"comparator {t.kind!r} does not apply to {model.kind} outcomes"
             )
+        elif t.kind == "fisher":
+            # load it before shared_pool forks, so no worker imports it on its own
+            import scipy.stats  # noqa: F401
 
 
 class _PosteriorVec:

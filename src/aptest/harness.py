@@ -75,6 +75,8 @@ class TestEntry:
 
 def equal_randomization_design(total_n: int) -> DesignConfig:
     """Comparator design balancing all N subjects: N // 2 per arm, a coin for odd N."""
+    if total_n < 2:
+        raise ConfigError(f"equal randomization needs at least 2 subjects, got {total_n}")
     return DesignConfig(
         total_n=total_n,
         burn_in=2,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import special
 
 from .errors import ConfigError, DataError, NumericalError
 
@@ -551,6 +551,8 @@ def beta_superiority_closed(a1: float, b1: float, a0: float, b0: float) -> float
 
 def _quadrature_superiority(dist_exp, dist_ctrl) -> float:
     """Integral of pdf_exp(x) * cdf_ctrl(x) over a bracketing of both supports."""
+    from scipy import integrate  # loaded on first use: most runs never integrate
+
     eps = 1e-15
     lo = min(dist_exp.ppf(eps), dist_ctrl.ppf(eps))
     hi = max(dist_exp.ppf(1 - eps), dist_ctrl.ppf(1 - eps))
@@ -602,6 +604,8 @@ def superiority_probability(
         elif any(_is_integral(v) for v in (a1, a0, b0, b1)):
             larger = beta_superiority_closed(a1, b1, a0, b0)
         else:
+            from scipy import stats  # loaded on first use, like the quadrature
+
             larger = _quadrature_superiority(stats.beta(a1, b1), stats.beta(a0, b0))
     elif isinstance(prior, NormalPrior):
         if sds is None:

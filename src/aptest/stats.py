@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .allocation import TrialTrajectory
 from .errors import ConfigError, DataError
@@ -231,7 +231,9 @@ def fisher_exact_one_sided(n1: int, s1: int, n0: int, s0: int) -> float:
         raise DataError("success counts must lie in [0, n] per arm")
     if n1 == 0:
         return 1.0
-    return float(stats.hypergeom.sf(s1 - 1, n1 + n0, s1 + s0, n1))
+    from scipy.stats import hypergeom  # only the Fisher test needs scipy.stats
+
+    return float(hypergeom.sf(s1 - 1, n1 + n0, s1 + s0, n1))
 
 
 def fisher_statistic_from_counts(n1, s1, n0, s0):
@@ -240,7 +242,9 @@ def fisher_statistic_from_counts(n1, s1, n0, s0):
     s1 = np.asarray(s1)
     n0 = np.asarray(n0)
     s0 = np.asarray(s0)
-    p = stats.hypergeom.sf(s1 - 1, n1 + n0, s1 + s0, n1)
+    from scipy.stats import hypergeom  # only the Fisher test needs scipy.stats
+
+    p = hypergeom.sf(s1 - 1, n1 + n0, s1 + s0, n1)
     return -np.asarray(p, dtype=np.float64)
 
 
@@ -325,5 +329,5 @@ def nominal_critical_value(spec: TestSpec, num_blocks: int, alpha: float) -> flo
         return float(num_blocks + 1 - spec.t_min)
     if spec.kind in ("lr", "z"):
         tail = alpha / 2.0 if spec.two_sided else alpha
-        return float(stats.norm.ppf(1.0 - tail))
+        return float(special.ndtri(1.0 - tail))
     return -alpha

@@ -164,7 +164,9 @@ class TestLoadConfig:
             ("shape: 1.0,", "shape: -1.0,",
              "scenarios[0].prior: gamma prior shape must be strictly positive"),
             (DESIGN, "kind: er, total_n: 1}",
-             "scenarios[0].design: number of blocks cannot be negative"),
+             "scenarios[0].design: equal randomization needs at least 2 subjects, got 1"),
+            (DESIGN, "kind: er, total_n: 0}",
+             "scenarios[0].design: equal randomization needs at least 2 subjects, got 0"),
             ("{comparator: lr, mode: nominal}", "{comparator: ttest, mode: nominal}",
              "scenarios[0].tests[1]: unknown comparator kind 'ttest'"),
             ("- {ap: lastblock}",
@@ -211,6 +213,9 @@ class TestLoadConfig:
             (("name: sub/x",), "scenarios[0].name", "must not contain '/'"),
             (("name: ../escaped",), "scenarios[0].name", "must not contain '/'"),
             (('name: "nul\\0"',), "scenarios[0].name", "must not contain '/' or NUL"),
+            (('name: "a\\tb"',), "scenarios[0].name", "must not contain a tab or line break"),
+            (('name: "a\\nb"',), "scenarios[0].name", "must not contain a tab or line break"),
+            (('name: "a\\rb"',), "scenarios[0].name", "must not contain a tab or line break"),
             (("name: 7",), "scenarios[0].name", "expected a string"),
         ],
     )
@@ -227,6 +232,23 @@ class TestLoadConfig:
         assert main(["--config", str(config), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"{key_path}: " in err and expected in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.yaml"]
+
+    @pytest.mark.parametrize("char", ["\\t", "\\n", "\\r"])
+    @pytest.mark.parametrize(
+        "old, index",
+        [("{ap: lastblock}", 0), ("{comparator: lr, mode: nominal}", 1)],
+    )
+    def test_tab_or_line_break_in_test_name_rejected(self, tmp_path, capsys, char, old, index):
+        # a test name is a field of every report row
+        config = tmp_path / "c.yaml"
+        config.write_text(GOOD_CONFIG.replace(old, old[:-1] + f', name: "a{char}b"}}'))
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert (
+            f"scenarios[0].tests[{index}].name: must not contain a tab or line break"
+            in capsys.readouterr().err
+        )
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.yaml"]
 
     def test_integral_float_and_yaml_booleans_accepted(self, tmp_path):
@@ -473,6 +495,24 @@ class TestEndToEnd:
         config.write_text(GOOD_CONFIG.replace("shape: 1.0", "shape: 0.5"))
         assert main(["--config", str(config), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "demo_report.tsv").exists()
+
+    def test_scipy_stats_and_integrate_load_only_for_fisher(self, tmp_path):
+        # a fresh interpreter: module sets, not times, so the check is deterministic
+        probe = (
+            "import sys\n"
+            "from aptest import cli\n"
+            "from aptest.presets import build_preset\n"
+            f"cli.build_manifest(cli.build_parser().parse_args("
+            f"['--preset', 'phase3-desk', '--out', {str(tmp_path / 'out')!r}]))\n"
+            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])\n"
+            "build_preset('empirical-binary-desk')  # a Fisher battery\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert result.stdout.splitlines() == ["[]", "True"]
+        assert not (tmp_path / "out").exists()
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

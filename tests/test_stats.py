@@ -224,10 +224,16 @@ class TestDecisions:
     def test_nominal_thresholds(self):
         assert nominal_critical_value(original_ap_test(), 45, 0.05) == 45.0
         assert nominal_critical_value(original_ap_test(t_min=3), 45, 0.05) == 43.0
-        z = nominal_critical_value(ComparatorTest("lr", "lr"), 45, 0.05)
-        assert abs(z - 1.6448536) < 1e-6
-        z2 = nominal_critical_value(ComparatorTest("lr", "lr", two_sided=True), 45, 0.05)
-        assert abs(z2 - 1.9599640) < 1e-6
+        # the exact floats scipy.stats.norm.ppf gives, so reports keep their bytes
+        for kind in ("lr", "z"):
+            for two_sided, alpha, z in [
+                (False, 0.05, 1.6448536269514722),
+                (False, 0.10, 1.2815515655446004),
+                (True, 0.05, 1.959963984540054),
+                (True, 0.10, 1.6448536269514722),
+            ]:
+                spec = ComparatorTest(kind, kind, two_sided=two_sided)
+                assert nominal_critical_value(spec, 45, alpha) == z
         assert nominal_critical_value(ComparatorTest("fisher", "f"), 45, 0.05) == -0.05
         with pytest.raises(ConfigError):
             nominal_critical_value(lastblock_ap_test(), 45, 0.05)
