@@ -20,6 +20,7 @@ import yaml
 
 from . import __version__
 from .allocation import DesignConfig, StandardBRAR, TunedBRAR
+from .engine import MAX_REPLICATES, MAX_TOTAL_N
 from .errors import ConfigError, NumericalError
 from .harness import (
     CALIBRATED,
@@ -106,7 +107,9 @@ def _require(node: dict, key: str, path: str):
     return node[key]
 
 
-def _integer(node: dict, key: str, path: str, default: int | None = None) -> int:
+def _integer(
+    node: dict, key: str, path: str, default: int | None = None, at_most: int | None = None
+) -> int:
     """An integer-valued key; 30.0 is accepted, 30.9, true and "30" are not."""
     value = _require(node, key, path) if default is None else node.get(key, default)
     if (
@@ -119,6 +122,8 @@ def _integer(node: dict, key: str, path: str, default: int | None = None) -> int
         raise ConfigError(
             f"{path}.{key}: expected an integer within floating-point range, got {value!r}"
         )
+    if at_most is not None and value > at_most:
+        raise ConfigError(f"{path}.{key}: must be at most {at_most}, got {value!r}")
     return int(value)
 
 
@@ -169,7 +174,7 @@ def _parse_design(node, path: str) -> DesignConfig:
     kind = node.get("kind", "standard")
     if kind not in ("standard", "tuned", "er"):
         raise ConfigError(f"{path}.kind: must be standard, tuned, or er, got {kind!r}")
-    total_n = _integer(node, "total_n", path)
+    total_n = _integer(node, "total_n", path, at_most=MAX_TOTAL_N)
     if kind == "er":
         _reject(node, ("burn_in", "block_size"), path, "applies only to kind: standard or tuned")
         with _at(path):
@@ -333,8 +338,8 @@ def _parse_scenario(node, index: int) -> ScenarioSpec:
     tests = tuple(
         _parse_test(t, f"{path}.tests[{i}]") for i, t in enumerate(tests_node)
     )
-    replicates_eval = _integer(reps, "evaluation", f"{path}.replicates", 10**5)
-    replicates_calib = _integer(reps, "calibration", f"{path}.replicates", 10**6)
+    replicates_eval = _integer(reps, "evaluation", f"{path}.replicates", 10**5, MAX_REPLICATES)
+    replicates_calib = _integer(reps, "calibration", f"{path}.replicates", 10**6, MAX_REPLICATES)
     seed = _integer(node, "seed", path, 0)
     alpha = _number(node, "alpha", path, 0.05)
     with _at(path):
@@ -386,10 +391,13 @@ def _apply_overrides(spec: ScenarioSpec, args) -> ScenarioSpec:
         updates["seed"] = args.seed
     if args.alpha is not None:
         updates["alpha"] = args.alpha
-    if args.replicates_eval is not None:
-        updates["replicates_eval"] = args.replicates_eval
-    if args.replicates_calib is not None:
-        updates["replicates_calib"] = args.replicates_calib
+    for key in ("replicates_eval", "replicates_calib"):
+        value = getattr(args, key)
+        if value is not None:
+            if value > MAX_REPLICATES:
+                flag = "--" + key.replace("_", "-")
+                raise ConfigError(f"{flag}: must be at most {MAX_REPLICATES}, got {value}")
+            updates[key] = value
     if args.mode is not None:
         tests = []
         for e in spec.tests:

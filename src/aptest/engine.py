@@ -58,6 +58,11 @@ from .stats import (
 #: changing it changes (valid) results.
 CHUNK_SIZE = 16384
 
+#: Ceilings on a batch's replicates and a design's subjects: sanity checks,
+#: not options.  1e8 replicates hold 0.8 GB per statistic.
+MAX_REPLICATES = 10**8
+MAX_TOTAL_N = 10**6
+
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Counter-based generator for one (seed, key...) stream."""
@@ -81,6 +86,8 @@ def validate_battery(
     design: DesignConfig, model: OutcomeModel, prior: PriorSpec, tests: tuple[TestSpec, ...]
 ) -> None:
     """Raise ConfigError unless the engine can simulate this design, prior and battery."""
+    if design.total_n > MAX_TOTAL_N:
+        raise ConfigError(f"total_n must be at most {MAX_TOTAL_N}, got {design.total_n}")
     if not prior_matches_family(prior, model.kind):
         raise ConfigError(
             f"prior {type(prior).__name__} does not match outcome family {model.kind}"
@@ -109,9 +116,6 @@ def validate_battery(
             raise ConfigError(
                 f"comparator {t.kind!r} does not apply to {model.kind} outcomes"
             )
-        elif t.kind == "fisher":
-            # load it before shared_pool forks, so no worker imports it on its own
-            import scipy.stats  # noqa: F401
 
 
 class _PosteriorVec:
@@ -329,8 +333,8 @@ def simulate_batch(
     identical for any ``threads`` value; chunks are reassembled in index
     order.  At ``threads > 1`` every chunk runs on ``shared_pool(threads)``.
     """
-    if replicates < 1:
-        raise ConfigError("replicates must be >= 1")
+    if not 1 <= replicates <= MAX_REPLICATES:
+        raise ConfigError(f"replicates must lie in [1, {MAX_REPLICATES}], got {replicates}")
     validate_battery(design, model, prior, tests)
     sizes = [
         min(CHUNK_SIZE, replicates - start) for start in range(0, replicates, CHUNK_SIZE)

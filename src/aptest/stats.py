@@ -18,6 +18,22 @@ likelihood-ratio test (signed root of the deviance), the one-sided Fisher
 exact test, and a known-variance Z test.  All three are oriented toward
 "experimental arm parameter larger"; their statistics increase with
 evidence in that direction so that calibrated thresholds apply uniformly.
+
+The Fisher p-value is P(A >= s1) for A ~ Hypergeom(N = n1 + n0,
+K = s1 + s0, n1), computed with numpy and ``scipy.special`` alone, so no
+simulation loads ``scipy.stats``.  Its first term comes from a log-factorial
+table built per call, ``gammaln(1 .. N_max + 1)``; each further term is the
+previous one times the pmf ratio (K - j)(n1 - j) / ((j + 1)(N - K - n1 + j + 1)).
+Where s1 lies at or below the mode the kernel sums the lower tail instead,
+as the upper tail of the table with its success and failure columns
+swapped, and returns 1 minus it, so every sum starts at its largest term and
+no term underflows while it still matters; s1 = 0 and s0 = n0 give exactly
+1.  The relative error is about that of the table, 5e-13 at N = 200 and
+3e-11 at N = 5000.  Before summing, each table is mapped to one member of
+its class under the transpose (n1 <-> K, same s1) and the 180-degree
+rotation, which leave the upper tail unchanged: tables with the same exact
+p-value then get the same bits, and a strict ``statistic > threshold``
+never splits them by rounding.
 """
 
 from __future__ import annotations
@@ -225,27 +241,75 @@ def fisher_exact_one_sided(n1: int, s1: int, n0: int, s0: int) -> float:
     """One-sided Fisher exact p-value for "experimental success rate larger".
 
     Conditional on the table margins, P(S1 >= s1) under the hypergeometric
-    distribution.
+    distribution: the vector kernel on one table, bit for bit.
     """
     if not (0 <= s1 <= n1 and 0 <= s0 <= n0):
         raise DataError("success counts must lie in [0, n] per arm")
-    if n1 == 0:
-        return 1.0
-    from scipy.stats import hypergeom  # only the Fisher test needs scipy.stats
+    return -float(fisher_statistic_from_counts([n1], [s1], [n0], [s0])[0])
 
-    return float(hypergeom.sf(s1 - 1, n1 + n0, s1 + s0, n1))
+
+#: Tail steps between checks for tails that no longer change.
+_TAIL_CHECK_STEPS = 8
 
 
 def fisher_statistic_from_counts(n1, s1, n0, s0):
-    """Vectorized -p for the one-sided Fisher test (larger = more evidence)."""
-    n1 = np.asarray(n1)
-    s1 = np.asarray(s1)
-    n0 = np.asarray(n0)
-    s0 = np.asarray(s0)
-    from scipy.stats import hypergeom  # only the Fisher test needs scipy.stats
+    """Vectorized -p for the one-sided Fisher test (larger = more evidence).
 
-    p = hypergeom.sf(s1 - 1, n1 + n0, s1 + s0, n1)
-    return -np.asarray(p, dtype=np.float64)
+    p = P(A >= s1) for A ~ Hypergeom(N = n1 + n0, K = s1 + s0, n1), summed
+    from a log-factorial table as the module docstring describes.
+    """
+    n1, s1, n0, s0 = (np.asarray(x, dtype=np.int64) for x in (n1, s1, n0, s0))
+    # total subjects, k successes, n subjects and a successes in arm 1
+    total, k, n, a = n1 + n0, s1 + s0, n1, s1
+    # canonical member of the table's class under the transpose (n <-> k)
+    # and the 180-degree rotation, both of which keep the upper tail
+    n, k = np.minimum(n, k), np.maximum(n, k)
+    rotate = total - k < n
+    n, k, a = (
+        np.where(rotate, total - k, n),
+        np.where(rotate, total - n, k),
+        np.where(rotate, a + total - k - n, a),
+    )
+    # at or below the mode the sum runs over the lower tail of the column-
+    # swapped table instead, 1 - P(A <= a - 1), so every sum starts at its
+    # largest term; a at the bottom of the support gives an empty tail, p = 1
+    low = a * (total + 2) <= (n + 1) * (k + 1)
+    empty = a == np.maximum(0, n + k - total)
+    k = np.where(low, total - k, k)
+    start = np.where(low, n - a + 1, a)
+    lf = special.gammaln(np.arange(1, int(total.max(initial=0)) + 2, dtype=np.float64))
+    c = total - k - n
+
+    def log_fact(i):
+        return lf.take(i, mode="clip")  # empty tails index past the table
+
+    term = np.exp(
+        log_fact(k) - log_fact(start) - log_fact(k - start)
+        + log_fact(total - k) - log_fact(n - start) - log_fact(c + start)
+        - log_fact(total) + log_fact(n) + log_fact(total - n)
+    )
+    term[empty] = 0.0
+    tail = term.copy()
+    # pmf(j + 1) / pmf(j) = (k - j)(n - j) / ((j + 1)(c + j + 1)); numerator
+    # and denominator step by second differences, all exact in float64
+    j = start.astype(np.float64)
+    num = (k - j) * (n - j)
+    num_step = k + n - 2.0 * j - 1.0
+    den = (j + 1.0) * (c + j + 1.0)
+    den_step = c + 2.0 * j + 3.0
+    for step in range(1, int((np.minimum(n, k) - start).max(initial=0)) + 1):
+        term *= num
+        term /= den
+        tail += term
+        num -= num_step
+        num_step -= 2.0
+        den += den_step
+        den_step += 2.0
+        # terms only shrink from the start, so once each is below half an
+        # ulp of its tail no further term can change the tail
+        if step % _TAIL_CHECK_STEPS == 0 and not (term * 2.0**54 > tail).any():
+            break
+    return np.where(low, tail - 1.0, -tail)
 
 
 def z_statistic_from_counts(n1, s1, n0, s0, sd0: float, sd1: float):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from aptest import cli
 from aptest.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -192,6 +193,35 @@ class TestLoadConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "old, new, key_path, value",
+        [
+            ("total_n: 30,", "total_n: 1000001,", "design.total_n", "1000000, got 1000001"),
+            ("total_n: 30,", "total_n: 100000000000000000000,", "design.total_n",
+             "1000000, got 100000000000000000000"),
+            (DESIGN, "kind: er, total_n: 1000001}", "design.total_n", "1000000, got 1000001"),
+            ("evaluation: 1000}", "evaluation: 100000001}", "replicates.evaluation",
+             "100000000, got 100000001"),
+            ("evaluation: 1000}", "evaluation: 1.0e+20}", "replicates.evaluation",
+             "100000000, got 1e+20"),
+            ("calibration: 3000,", "calibration: 100000001,", "replicates.calibration",
+             "100000000, got 100000001"),
+        ],
+    )
+    def test_size_and_budget_ceilings(self, tmp_path, capsys, monkeypatch, old, new, key_path,
+                                      value):
+        # the ceilings are checked while the config loads; were one missing,
+        # the stand-in run fails the test instead of simulating the budget
+        def no_run(manifest):
+            raise AssertionError("a config above a ceiling reached the run")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        assert old in GOOD_CONFIG
+        config = tmp_path / "c.yaml"
+        config.write_text(GOOD_CONFIG.replace(old, new))
+        assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert f"scenarios[0].{key_path}: must be at most {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "design",
         [
             "kind: standard, total_n: 30, burn_in: 6, block_size: 2, permuted_block_size: 8}",
@@ -369,6 +399,10 @@ class TestManifest:
         [
             ("--replicates-eval", "0", "replicates_eval must be >= 1, got 0"),
             ("--replicates-calib", "0", "calibration replicates must be >= 1, got 0"),
+            ("--replicates-eval", "100000001",
+             "--replicates-eval: must be at most 100000000, got 100000001"),
+            ("--replicates-calib", "100000000000000000000",
+             "--replicates-calib: must be at most 100000000, got 100000000000000000000"),
             ("--seed", "-1", "seed must be >= 0, got -1"),
         ],
     )
@@ -496,22 +530,25 @@ class TestEndToEnd:
         assert main(["--config", str(config), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "demo_report.tsv").exists()
 
-    def test_scipy_stats_and_integrate_load_only_for_fisher(self, tmp_path):
+    def test_no_simulation_path_loads_scipy_stats_or_integrate(self, tmp_path):
         # a fresh interpreter: module sets, not times, so the check is deterministic
         probe = (
             "import sys\n"
             "from aptest import cli\n"
-            "from aptest.presets import build_preset\n"
+            "from aptest.allocation import DesignConfig\n"
+            "from aptest.engine import simulate_batch\n"
+            "from aptest.models import Bernoulli, BetaPrior, OutcomeModel\n"
+            "from aptest.stats import ComparatorTest\n"
             f"cli.build_manifest(cli.build_parser().parse_args("
-            f"['--preset', 'phase3-desk', '--out', {str(tmp_path / 'out')!r}]))\n"
+            f"['--preset', 'empirical-binary-desk', '--out', {str(tmp_path / 'out')!r}]))\n"
+            "simulate_batch(DesignConfig(121, 12, 1, 109), OutcomeModel(Bernoulli(0.7, 0.9)),\n"
+            "               BetaPrior(1.0, 1.0), (ComparatorTest('fisher', 'f'),), 100, seed=0)\n"
             "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])\n"
-            "build_preset('empirical-binary-desk')  # a Fisher battery\n"
-            "print('scipy.stats' in sys.modules)\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
         )
-        assert result.stdout.splitlines() == ["[]", "True"]
+        assert result.stdout.splitlines() == ["[]"]
         assert not (tmp_path / "out").exists()
 
     def test_console_entry_point(self, tmp_path):

@@ -33,7 +33,13 @@ from aptest.models import (
     beta_superiority_vec,
     gamma_superiority_vec,
 )
-from aptest.stats import ComparatorTest, lastblock_ap_test, original_ap_test, timedirect_ap_test
+from aptest.stats import (
+    ComparatorTest,
+    fisher_statistic_from_counts,
+    lastblock_ap_test,
+    original_ap_test,
+    timedirect_ap_test,
+)
 
 PRIOR = GammaPrior(1.0, 0.001)
 
@@ -201,6 +207,44 @@ class TestBatteryValidation:
         model = OutcomeModel(Exponential(1.0, 1.0))
         with pytest.raises(ConfigError):
             simulate_batch(design, model, PRIOR, (ComparatorTest("fisher", "f"),), 100, seed=0)
+
+    def test_budget_above_ceiling_rejected_before_chunking(self, monkeypatch):
+        monkeypatch.setattr(engine, "_chunk_task", lambda task: pytest.fail("simulated"))
+        design = DesignConfig(20, 10, 1, 10)
+        model = OutcomeModel(Exponential(1.0, 1.0))
+        with pytest.raises(ConfigError, match="replicates must lie in"):
+            simulate_batch(design, model, PRIOR, (), engine.MAX_REPLICATES + 1, seed=0)
+
+    @pytest.mark.parametrize("total_n", [engine.MAX_TOTAL_N + 2, 10**20])
+    def test_design_above_ceiling_rejected(self, monkeypatch, total_n):
+        # checked before the AP weights, whose length is the number of blocks
+        monkeypatch.setattr(engine, "_chunk_task", lambda task: pytest.fail("simulated"))
+        design = DesignConfig(total_n, 10, 1, total_n - 10)
+        model = OutcomeModel(Exponential(1.0, 1.0))
+        with pytest.raises(ConfigError, match="total_n must be at most"):
+            simulate_batch(design, model, PRIOR, (lastblock_ap_test(),), 100, seed=0)
+
+
+class TestFisherAgainstScipy:
+    @pytest.mark.parametrize("equal", [False, True], ids=["standard", "er"])
+    def test_statistic_is_minus_hypergeom_tail(self, monkeypatch, equal):
+        from scipy.stats import hypergeom  # the oracle; no simulation path loads it
+
+        tables = []
+
+        def recording(n1, s1, n0, s0):
+            tables.append(np.stack([n1, s1, n0, s0]))
+            return fisher_statistic_from_counts(n1, s1, n0, s0)
+
+        monkeypatch.setattr(engine, "fisher_statistic_from_counts", recording)
+        design = equal_randomization_design(121) if equal else DesignConfig(121, 12, 1, 109)
+        model = OutcomeModel(Bernoulli(0.7, 0.9))
+        test = ComparatorTest("fisher", "fisher")
+        batch = simulate_batch(design, model, BetaPrior(1.0, 1.0), (test,), 20000, seed=3)
+        n1, s1, n0, s0 = np.concatenate(tables, axis=1)
+        oracle = hypergeom.sf(s1 - 1, n1 + n0, s1 + s0, n1)
+        assert batch.replicates == oracle.size == 20000
+        assert np.max(np.abs(batch.statistics["fisher"] + oracle) / oracle) < 1e-12
 
 
 class TestNonFiniteNumbers:

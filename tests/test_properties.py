@@ -5,7 +5,7 @@ derandomizes the draws, so every run checks the same examples.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from aptest.models import (
     beta_superiority_vec,
     superiority_probability,
 )
+from aptest.stats import fisher_exact_one_sided, fisher_statistic_from_counts
 from tests.test_models import quadrature_gamma_superiority
 
 directions = st.sampled_from(("larger", "smaller"))
@@ -240,3 +241,56 @@ def test_beta_carry_survives_long_lopsided_trials(per_call):
     params = params + np.array([[3], [0], [0], [0]])
     carried = beta_superiority_vec(*params, table, carry=carry)
     assert abs(carried[0] - beta_superiority_vec(*params, table)[0]) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# The Fisher comparator's hypergeometric tail against exact rationals
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def two_by_two(draw, max_total=200):
+    """(n1, s1, n0, s0): every margin, the grand total included, at most max_total."""
+    total = draw(st.integers(0, max_total))
+    n1 = draw(st.integers(0, total))
+    n0 = total - n1
+    return n1, draw(st.integers(0, n1)), n0, draw(st.integers(0, n0))
+
+
+def exact_fisher(n1: int, s1: int, n0: int, s0: int) -> Fraction:
+    """P(A >= s1), A ~ Hypergeom(n1 + n0, s1 + s0, n1), in exact rationals."""
+    k = s1 + s0
+    upper = sum(comb(k, j) * comb(n1 + n0 - k, n1 - j) for j in range(s1, min(n1, k) + 1))
+    return Fraction(upper, comb(n1 + n0, n1))
+
+
+@given(two_by_two())
+def test_fisher_matches_exact_enumeration(table):
+    oracle = float(exact_fisher(*table))
+    assert abs(fisher_exact_one_sided(*table) - oracle) <= 1e-12 * oracle
+
+
+@given(two_by_two(max_total=400))
+def test_fisher_symmetric_tables_give_equal_bits(table):
+    # the transpose and the 180-degree rotation keep the upper tail, so the
+    # canonical table makes their p-values equal, not merely close
+    n1, s1, n0, s0 = table
+    p = fisher_exact_one_sided(n1, s1, n0, s0)
+    assert fisher_exact_one_sided(s1 + s0, s1, n1 + n0 - s1 - s0, n1 - s1) == p
+    assert fisher_exact_one_sided(n0, n0 - s0, n1, n1 - s1) == p
+
+
+@given(two_by_two(max_total=400))
+def test_fisher_is_exactly_one_at_the_edges(table):
+    n1, s1, n0, s0 = table
+    assert fisher_exact_one_sided(n1, 0, n0, s0) == 1.0
+    assert fisher_exact_one_sided(n1, s1, n0, n0) == 1.0
+    assert fisher_exact_one_sided(0, 0, n0, s0) == 1.0
+    assert fisher_exact_one_sided(n1, s1, 0, 0) == 1.0
+
+
+@given(st.lists(two_by_two(max_total=400), min_size=1, max_size=30))
+def test_fisher_vector_equals_scalar(tables):
+    statistic = fisher_statistic_from_counts(*np.array(tables).T)
+    for i, table in enumerate(tables):
+        assert -statistic[i] == fisher_exact_one_sided(*table)

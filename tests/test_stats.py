@@ -177,6 +177,16 @@ class TestFisherExact:
         with pytest.raises(DataError):
             fisher_exact_one_sided(3, 4, 3, 0)
 
+    @pytest.mark.parametrize("s1", [40, 100, 700, 760, 1000, 1200])
+    def test_large_lopsided_tables(self, s1):
+        # 1500 per arm and 1500 successes: a tail summed upward from s1 = 40
+        # would start at a term below 1e-308 and read 0, so tails start at
+        # their largest term; p runs from 1 (to the last bit) down to 4e-253
+        upper = sum(math.comb(1500, k) * math.comb(1500, 1500 - k) for k in range(s1, 1501))
+        exact = upper / math.comb(3000, 1500)
+        got = fisher_exact_one_sided(1500, s1, 1500, 1500 - s1)
+        assert abs(got - exact) <= 1e-10 * exact
+
 
 class TestZTest:
     def test_equal_means_give_zero(self):
