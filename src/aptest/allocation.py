@@ -48,6 +48,9 @@ class TunedBRAR:
 
 DesignKind = Union[EqualRandomization, StandardBRAR, TunedBRAR]
 
+#: Ceiling on a design's subjects: a sanity check, not an option.
+MAX_TOTAL_N = 10**6
+
 
 @dataclass(frozen=True)
 class DesignConfig:
@@ -60,6 +63,8 @@ class DesignConfig:
     design: DesignKind = StandardBRAR()
 
     def __post_init__(self) -> None:
+        if self.total_n > MAX_TOTAL_N:
+            raise ConfigError(f"total_n must be at most {MAX_TOTAL_N}, got {self.total_n}")
         if self.burn_in < 2 or self.burn_in % 2 != 0:
             raise ConfigError("burn-in must be even and >= 2 so both arms have data")
         if self.block_size < 1:
@@ -84,6 +89,19 @@ class DesignConfig:
         if isinstance(self.design, EqualRandomization):
             return "er"
         return "tuned-brar" if self.is_tuned else "standard-brar"
+
+
+def sized_design(
+    total_n: int, burn_in: int, block_size: int = 1, design: DesignKind = StandardBRAR()
+) -> DesignConfig:
+    """The design of ``total_n`` subjects: the burn-in, then whole blocks of ``block_size``."""
+    remaining = total_n - burn_in
+    if block_size < 1 or remaining % block_size != 0:
+        raise ConfigError(
+            f"total_n - burn_in = {remaining} is not a whole number "
+            f"of blocks of size {block_size}"
+        )
+    return DesignConfig(total_n, burn_in, block_size, remaining // block_size, design)
 
 
 @dataclass(frozen=True)

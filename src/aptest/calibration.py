@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import DesignConfig, TrialTrajectory
-from .engine import simulate_batch
+from .engine import MAX_REPLICATES, simulate_batch
 from .errors import ConfigError, DataError
 from .models import (
     Bernoulli,
@@ -47,6 +47,10 @@ class NullSpec:
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ConfigError(f"calibration replicates must be >= 1, got {self.replicates}")
+        if self.replicates > MAX_REPLICATES:
+            raise ConfigError(
+                f"calibration replicates must be at most {MAX_REPLICATES}, got {self.replicates}"
+            )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.model.param_control != self.model.param_experimental:

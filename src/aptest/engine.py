@@ -58,10 +58,9 @@ from .stats import (
 #: changing it changes (valid) results.
 CHUNK_SIZE = 16384
 
-#: Ceilings on a batch's replicates and a design's subjects: sanity checks,
-#: not options.  1e8 replicates hold 0.8 GB per statistic.
+#: Ceiling on a batch's replicates: a sanity check, not an option.  1e8
+#: replicates hold 0.8 GB per statistic.
 MAX_REPLICATES = 10**8
-MAX_TOTAL_N = 10**6
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -86,8 +85,6 @@ def validate_battery(
     design: DesignConfig, model: OutcomeModel, prior: PriorSpec, tests: tuple[TestSpec, ...]
 ) -> None:
     """Raise ConfigError unless the engine can simulate this design, prior and battery."""
-    if design.total_n > MAX_TOTAL_N:
-        raise ConfigError(f"total_n must be at most {MAX_TOTAL_N}, got {design.total_n}")
     if not prior_matches_family(prior, model.kind):
         raise ConfigError(
             f"prior {type(prior).__name__} does not match outcome family {model.kind}"

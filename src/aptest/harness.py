@@ -23,17 +23,24 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import __version__
-from .allocation import DesignConfig, EqualRandomization
+from .allocation import DesignConfig, EqualRandomization, sized_design
 from .calibration import (
     STREAM_EVALUATION,
     CriticalValue,
     NullSpec,
     calibrate,
 )
-from .engine import BatchResult, pool_workers, shared_pool, simulate_batch, validate_battery
+from .engine import (
+    MAX_REPLICATES,
+    BatchResult,
+    pool_workers,
+    shared_pool,
+    simulate_batch,
+    validate_battery,
+)
 from .errors import ConfigError
 from .models import OutcomeModel, PriorSpec
-from .stats import APTestSpec, TestSpec, nominal_critical_value
+from .stats import APTestSpec, TestSpec, has_nominal_form, nominal_critical_value
 
 log = logging.getLogger(__name__)
 
@@ -59,11 +66,7 @@ class TestEntry:
             raise ConfigError(f"test mode must be calibrated or nominal, got {self.mode!r}")
         if self.on_er and isinstance(self.spec, APTestSpec):
             raise ConfigError("AP tests do not apply to the equal-randomization design")
-        if (
-            self.mode == NOMINAL
-            and isinstance(self.spec, APTestSpec)
-            and not self.spec.integer_valued
-        ):
+        if self.mode == NOMINAL and not has_nominal_form(self.spec):
             raise ConfigError(
                 f"AP test {self.spec.name!r} is continuous and has no nominal form"
             )
@@ -77,13 +80,7 @@ def equal_randomization_design(total_n: int) -> DesignConfig:
     """Comparator design balancing all N subjects: N // 2 per arm, a coin for odd N."""
     if total_n < 2:
         raise ConfigError(f"equal randomization needs at least 2 subjects, got {total_n}")
-    return DesignConfig(
-        total_n=total_n,
-        burn_in=2,
-        block_size=1,
-        num_blocks=total_n - 2,
-        design=EqualRandomization(),
-    )
+    return sized_design(total_n, 2, 1, EqualRandomization())
 
 
 @dataclass(frozen=True)
@@ -102,10 +99,20 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # the name is the stem of the scenario's output files and a report field
+        if not self.name or any(c in self.name for c in "\t\n\r/\0"):
+            raise ConfigError(
+                "scenario name must be non-empty and hold no tab, line break, '/' or NUL, "
+                f"got {self.name!r}"
+            )
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
         if self.replicates_eval < 1:
             raise ConfigError(f"replicates_eval must be >= 1, got {self.replicates_eval}")
+        if self.replicates_eval > MAX_REPLICATES:
+            raise ConfigError(
+                f"replicates_eval must be at most {MAX_REPLICATES}, got {self.replicates_eval}"
+            )
         # the calibration budget, the seed and the null's equal arms, as calibration checks them
         NullSpec(self.design, self.null_model, self.prior, self.replicates_calib, self.seed)
         for m in self.alternative_models:
@@ -120,17 +127,12 @@ class ScenarioSpec:
         labels = [_label_of(m) for m in self.model_grid()]
         if len(set(labels)) != len(labels):
             raise ConfigError(
-                f"model labels must be unique (6 significant digits): {labels}"
+                "model labels must be unique (6 significant digits), and the null "
+                f"is always evaluated, so no alternative may equal it: {labels}"
             )
         names = [e.name for e in self.tests]
         if len(set(names)) != len(names):
             raise ConfigError(f"test names must be unique within a scenario: {names}")
-        if self.replicates_eval < 10**4:
-            log.warning(
-                "scenario %s: replicates_eval=%d gives binomial SE > 0.005 at p=0.5",
-                self.name,
-                self.replicates_eval,
-            )
         # the engine's checks, run here so a config fails before any simulation
         for _, design, entries in self.roles():
             validate_battery(design, self.null_model, self.prior, tuple(e.spec for e in entries))
@@ -254,6 +256,12 @@ def run_scenario(spec: ScenarioSpec, threads: int = 1) -> PerformanceReport:
     the report is identical for any ``threads``.
     """
     start = time.perf_counter()
+    if spec.replicates_eval < 10**4:
+        log.warning(
+            "scenario %s: replicates_eval=%d gives binomial SE > 0.005 at p=0.5",
+            spec.name,
+            spec.replicates_eval,
+        )
     roles = spec.roles()
     critical_values: dict[str, CriticalValue] = {}
     rows: list[ReportRow] = []
@@ -386,13 +394,12 @@ def sweep_scenarios(template: ScenarioSpec, n_grid: tuple[int, ...]) -> tuple[Sc
     template's burn-in) and its own calibration; the template's null and
     alternatives are kept.
     """
+    design = template.design
     return tuple(
         dataclasses.replace(
             template,
             name=f"{template.name}-n{n}",
-            design=dataclasses.replace(
-                template.design, total_n=n, block_size=1, num_blocks=n - template.design.burn_in
-            ),
+            design=sized_design(n, design.burn_in, 1, design.design),
         )
         for n in n_grid
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .allocation import DesignConfig, StandardBRAR, TunedBRAR
+from .allocation import StandardBRAR, TunedBRAR, sized_design
 from .errors import ConfigError
 from .harness import CALIBRATED, NOMINAL, ScenarioSpec, TestEntry, sweep_scenarios
 from .models import (
@@ -100,13 +100,9 @@ def _battery(comparator: str, mode: str, two_sided: bool = False) -> tuple[TestE
 
 
 def _brar_designs(total_n: int, burn_in: int, block_size: int):
-    num_blocks = (total_n - burn_in) // block_size
-    base = dict(
-        total_n=total_n, burn_in=burn_in, block_size=block_size, num_blocks=num_blocks
-    )
     return (
-        ("standard", DesignConfig(**base, design=StandardBRAR())),
-        ("tuned", DesignConfig(**base, design=TunedBRAR())),
+        ("standard", sized_design(total_n, burn_in, block_size, StandardBRAR())),
+        ("tuned", sized_design(total_n, burn_in, block_size, TunedBRAR())),
     )
 
 

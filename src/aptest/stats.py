@@ -83,7 +83,10 @@ class LastBlockOnly:
 
 @dataclass(frozen=True)
 class CustomWeights:
-    """Explicit nonnegative weights for blocks t_min .. T+1, in order."""
+    """Explicit nonnegative weights for blocks t_min .. T+1, in order.
+
+    Their sum must be finite: it bounds the statistic, since f <= 1.
+    """
 
     values: tuple[float, ...]
 
@@ -91,14 +94,24 @@ class CustomWeights:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.size == 0:
             raise ConfigError("custom weights cannot be empty")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ConfigError("custom weights must be finite and nonnegative")
+        with np.errstate(over="ignore"):
+            total = arr.sum()
+        if np.any(arr < 0) or not np.isfinite(total):
+            raise ConfigError("custom weights must be nonnegative with a finite sum")
         if not np.any(arr > 0):
             raise ConfigError("custom weights cannot all be zero")
 
 
 Transform = Union[Indicator, Identity]
 WeightRule = Union[Ones, TimeWeights, LastBlockOnly, CustomWeights]
+
+
+def _check_test_name(name: str) -> None:
+    # a test name is a field of every row of the unescaped TSV reports
+    if not name or any(c in name for c in "\t\n\r"):
+        raise ConfigError(
+            f"test name must be non-empty and hold no tab or line break, got {name!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -111,14 +124,9 @@ class APTestSpec:
     t_min: int = 1
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ConfigError("AP test spec needs a name")
+        _check_test_name(self.name)
         if self.t_min < 1:
             raise ConfigError("t_min must be >= 1")
-
-    @property
-    def integer_valued(self) -> bool:
-        return isinstance(self.f, Indicator) and isinstance(self.w, Ones)
 
 
 def original_ap_test(t_min: int = 1, name: str = "original") -> APTestSpec:
@@ -367,13 +375,19 @@ class ComparatorTest:
     def __post_init__(self) -> None:
         if self.kind not in ("lr", "fisher", "z"):
             raise ConfigError(f"unknown comparator kind {self.kind!r}")
-        if not self.name:
-            raise ConfigError("comparator test needs a name")
+        _check_test_name(self.name)
         if self.two_sided and self.kind == "fisher":
             raise ConfigError("the Fisher comparator is one-sided only")
 
 
 TestSpec = Union[APTestSpec, ComparatorTest]
+
+
+def has_nominal_form(spec: TestSpec) -> bool:
+    """Every comparator has an uncalibrated form; of the AP tests, only the integer-valued one."""
+    return isinstance(spec, ComparatorTest) or (
+        isinstance(spec.f, Indicator) and isinstance(spec.w, Ones)
+    )
 
 
 def nominal_critical_value(spec: TestSpec, num_blocks: int, alpha: float) -> float:
@@ -385,11 +399,9 @@ def nominal_critical_value(spec: TestSpec, num_blocks: int, alpha: float) -> flo
     For LR and Z it is the upper-alpha normal quantile; for Fisher, on the
     -p scale, it is -alpha.
     """
+    if not has_nominal_form(spec):
+        raise ConfigError(f"AP test {spec.name!r} has no nominal form; calibrate it")
     if isinstance(spec, APTestSpec):
-        if not spec.integer_valued:
-            raise ConfigError(
-                f"AP test {spec.name!r} has no nominal form; calibrate it"
-            )
         return float(num_blocks + 1 - spec.t_min)
     if spec.kind in ("lr", "z"):
         tail = alpha / 2.0 if spec.two_sided else alpha

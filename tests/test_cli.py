@@ -1,6 +1,7 @@
 """Config parsing, presets, and end-to-end CLI runs."""
 
 import dataclasses
+import logging
 import subprocess
 import sys
 
@@ -33,6 +34,7 @@ scenarios:
       - {comparator: lr, mode: nominal, on_er: true, name: lr-er}
 """
 DESIGN = "kind: standard, total_n: 30, burn_in: 6, block_size: 2}"
+UNSAFE_NAME = "scenario name must be non-empty and hold no tab, line break, '/' or NUL"
 
 
 class TestLoadConfig:
@@ -181,6 +183,13 @@ class TestLoadConfig:
             ("calibration: 3000,", "calibration: 0,",
              "scenarios[0]: calibration replicates must be >= 1, got 0"),
             ("seed: 5", "seed: -1", "scenarios[0]: seed must be >= 0, got -1"),
+            # the statistic is at most the sum of the weights, since f <= 1
+            ("- {ap: lastblock}",
+             "- {ap: custom, name: c, t_min: 9, weights: [1.0e+308, 1.0e+308, 1.0e+308, "
+             "1.0e+308, 1.0e+308]}",
+             "scenarios[0].tests[0]: custom weights must be nonnegative with a finite sum"),
+            ("experimental: [1.8]}", "experimental: [1.8, 1.0]}",
+             "scenarios[0]: model labels must be unique"),
         ],
     )
     def test_out_of_range_value_reports_path(self, tmp_path, capsys, old, new, message):
@@ -193,22 +202,24 @@ class TestLoadConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "old, new, key_path, value",
+        "old, new, message",
         [
-            ("total_n: 30,", "total_n: 1000001,", "design.total_n", "1000000, got 1000001"),
-            ("total_n: 30,", "total_n: 100000000000000000000,", "design.total_n",
-             "1000000, got 100000000000000000000"),
-            (DESIGN, "kind: er, total_n: 1000001}", "design.total_n", "1000000, got 1000001"),
-            ("evaluation: 1000}", "evaluation: 100000001}", "replicates.evaluation",
-             "100000000, got 100000001"),
-            ("evaluation: 1000}", "evaluation: 1.0e+20}", "replicates.evaluation",
-             "100000000, got 1e+20"),
-            ("calibration: 3000,", "calibration: 100000001,", "replicates.calibration",
-             "100000000, got 100000001"),
+            ("total_n: 30,", "total_n: 1000002,",
+             "scenarios[0].design: total_n must be at most 1000000, got 1000002"),
+            ("total_n: 30,", "total_n: 100000000000000000000,",
+             "scenarios[0].design: total_n must be at most 1000000, got 100000000000000000000"),
+            (DESIGN, "kind: er, total_n: 1000001}",
+             "scenarios[0].design: total_n must be at most 1000000, got 1000001"),
+            ("evaluation: 1000}", "evaluation: 100000001}",
+             "scenarios[0]: replicates_eval must be at most 100000000, got 100000001"),
+            ("evaluation: 1000}", "evaluation: 1.0e+20}",
+             "scenarios[0]: replicates_eval must be at most 100000000, "
+             "got 100000000000000000000"),
+            ("calibration: 3000,", "calibration: 100000001,",
+             "scenarios[0]: calibration replicates must be at most 100000000, got 100000001"),
         ],
     )
-    def test_size_and_budget_ceilings(self, tmp_path, capsys, monkeypatch, old, new, key_path,
-                                      value):
+    def test_size_and_budget_ceilings(self, tmp_path, capsys, monkeypatch, old, new, message):
         # the ceilings are checked while the config loads; were one missing,
         # the stand-in run fails the test instead of simulating the budget
         def no_run(manifest):
@@ -219,7 +230,7 @@ class TestLoadConfig:
         config = tmp_path / "c.yaml"
         config.write_text(GOOD_CONFIG.replace(old, new))
         assert main(["--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert f"scenarios[0].{key_path}: must be at most {value}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "design",
@@ -240,12 +251,13 @@ class TestLoadConfig:
             (("name: dup", "name: dup"), "scenarios[1].name", "already the name of scenarios[0]"),
             (("name: demo", "name: demo-2", "name: demo"), "scenarios[2].name",
              "already the name of scenarios[0]"),
-            (("name: sub/x",), "scenarios[0].name", "must not contain '/'"),
-            (("name: ../escaped",), "scenarios[0].name", "must not contain '/'"),
-            (('name: "nul\\0"',), "scenarios[0].name", "must not contain '/' or NUL"),
-            (('name: "a\\tb"',), "scenarios[0].name", "must not contain a tab or line break"),
-            (('name: "a\\nb"',), "scenarios[0].name", "must not contain a tab or line break"),
-            (('name: "a\\rb"',), "scenarios[0].name", "must not contain a tab or line break"),
+            (("name: sub/x",), "scenarios[0]", f"{UNSAFE_NAME}, got 'sub/x'"),
+            (("name: ../escaped",), "scenarios[0]", f"{UNSAFE_NAME}, got '../escaped'"),
+            (('name: "nul\\0"',), "scenarios[0]", f"{UNSAFE_NAME}, got 'nul\\x00'"),
+            (('name: "a\\tb"',), "scenarios[0]", f"{UNSAFE_NAME}, got 'a\\tb'"),
+            (('name: "a\\nb"',), "scenarios[0]", f"{UNSAFE_NAME}, got 'a\\nb'"),
+            (('name: "a\\rb"',), "scenarios[0]", f"{UNSAFE_NAME}, got 'a\\rb'"),
+            (('name: ""',), "scenarios[0]", f"{UNSAFE_NAME}, got ''"),
             (("name: 7",), "scenarios[0].name", "expected a string"),
         ],
     )
@@ -276,8 +288,8 @@ class TestLoadConfig:
         out = tmp_path / "out"
         assert main(["--config", str(config), "--out", str(out)]) == EXIT_CONFIG
         assert (
-            f"scenarios[0].tests[{index}].name: must not contain a tab or line break"
-            in capsys.readouterr().err
+            f"scenarios[0].tests[{index}]: test name must be non-empty and hold no tab or "
+            "line break" in capsys.readouterr().err
         )
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.yaml"]
 
@@ -400,9 +412,9 @@ class TestManifest:
             ("--replicates-eval", "0", "replicates_eval must be >= 1, got 0"),
             ("--replicates-calib", "0", "calibration replicates must be >= 1, got 0"),
             ("--replicates-eval", "100000001",
-             "--replicates-eval: must be at most 100000000, got 100000001"),
+             "replicates_eval must be at most 100000000, got 100000001"),
             ("--replicates-calib", "100000000000000000000",
-             "--replicates-calib: must be at most 100000000, got 100000000000000000000"),
+             "calibration replicates must be at most 100000000, got 100000000000000000000"),
             ("--seed", "-1", "seed must be >= 0, got -1"),
         ],
     )
@@ -427,6 +439,17 @@ class TestManifest:
 
 
 class TestEndToEnd:
+    def test_small_budget_warned_once_per_scenario(self, tmp_path, caplog):
+        # the overrides rebuild the scenario; the run that uses the budget warns
+        config = tmp_path / "c.yaml"
+        config.write_text(GOOD_CONFIG)
+        argv = ["--config", str(config), "--seed", "3", "--alpha", "0.1",
+                "--out", str(tmp_path / "out")]
+        with caplog.at_level(logging.WARNING, logger="aptest"):
+            assert main(argv) == 0
+        warned = [r for r in caplog.records if "replicates_eval=1000 gives" in r.getMessage()]
+        assert len(warned) == 1
+
     def test_run_writes_reports_and_reruns_identically(self, tmp_path):
         config = tmp_path / "c.yaml"
         config.write_text(GOOD_CONFIG)

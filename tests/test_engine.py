@@ -215,15 +215,6 @@ class TestBatteryValidation:
         with pytest.raises(ConfigError, match="replicates must lie in"):
             simulate_batch(design, model, PRIOR, (), engine.MAX_REPLICATES + 1, seed=0)
 
-    @pytest.mark.parametrize("total_n", [engine.MAX_TOTAL_N + 2, 10**20])
-    def test_design_above_ceiling_rejected(self, monkeypatch, total_n):
-        # checked before the AP weights, whose length is the number of blocks
-        monkeypatch.setattr(engine, "_chunk_task", lambda task: pytest.fail("simulated"))
-        design = DesignConfig(total_n, 10, 1, total_n - 10)
-        model = OutcomeModel(Exponential(1.0, 1.0))
-        with pytest.raises(ConfigError, match="total_n must be at most"):
-            simulate_batch(design, model, PRIOR, (lastblock_ap_test(),), 100, seed=0)
-
 
 class TestFisherAgainstScipy:
     @pytest.mark.parametrize("equal", [False, True], ids=["standard", "er"])

@@ -1,16 +1,23 @@
 """Scenario evaluation, patient benefit, sweeps, and report export."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aptest import calibration, harness
-from aptest.allocation import DesignConfig
+from aptest import calibration, engine, harness
+from aptest.allocation import MAX_TOTAL_N, DesignConfig
+from aptest.calibration import NullSpec
 from aptest.engine import CHUNK_SIZE, simulate_batch
 from aptest.errors import ConfigError
 from aptest.harness import (
     ScenarioSpec,
     TestEntry,
     equal_randomization_design,
+    export_critical_values,
     export_report,
     model_label,
     patient_benefit,
@@ -114,6 +121,49 @@ class TestScenarioValidation:
     def test_continuous_ap_has_no_nominal_mode(self):
         with pytest.raises(ConfigError):
             TestEntry(timedirect_ap_test(), mode="nominal")
+
+
+#: Above the 10^8 replicate ceiling of scenarios, nulls and batches.
+TOO_MANY = 2 * 10**8
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(
+            pytest.param(lambda name=name: tiny_scenario(name=name), id=f"scenario-name-{tag}")
+            for tag, name in [("empty", ""), ("tab", "a\tb"), ("cr", "a\rb"), ("lf", "a\nb"),
+                              ("slash", "a/b"), ("nul", "a\0b")]
+        ),
+        *(
+            pytest.param(build, id=f"{kind}-name-{tag}")
+            for tag, name in [("tab", "a\tb"), ("cr", "a\rb"), ("lf", "a\nb")]
+            for kind, build in [
+                ("ap", lambda name=name: lastblock_ap_test(name=name)),
+                ("comparator", lambda name=name: ComparatorTest("lr", name)),
+            ]
+        ),
+        pytest.param(lambda: DesignConfig(MAX_TOTAL_N + 2, 10, 1, MAX_TOTAL_N - 8),
+                     id="design-total-n"),
+        pytest.param(lambda: DesignConfig(10**20, 10, 1, 10**20 - 10), id="design-total-n-1e20"),
+        pytest.param(lambda: tiny_scenario(replicates_eval=0), id="scenario-eval-zero"),
+        pytest.param(lambda: tiny_scenario(replicates_eval=TOO_MANY), id="scenario-eval-above"),
+        pytest.param(lambda: tiny_scenario(replicates_calib=0), id="scenario-calib-zero"),
+        pytest.param(lambda: tiny_scenario(replicates_calib=TOO_MANY), id="scenario-calib-above"),
+        pytest.param(lambda: NullSpec(DesignConfig(30, 6, 2, 12), NULL, PRIOR, 0), id="null-zero"),
+        pytest.param(lambda: NullSpec(DesignConfig(30, 6, 2, 12), NULL, PRIOR, TOO_MANY),
+                     id="null-above"),
+        pytest.param(lambda: tiny_scenario(alternative_models=(NULL,)),
+                     id="alternative-equals-null"),
+        pytest.param(lambda: CustomWeights((1e308,) * 5), id="weights-sum-overflows"),
+    ],
+)
+def test_library_caller_gets_each_rule_from_its_owner(monkeypatch, build):
+    # each rule is the constructor's own, so nothing reaches a simulation
+    for module in (engine, harness, calibration):
+        monkeypatch.setattr(module, "simulate_batch", lambda *a, **k: pytest.fail("simulated"))
+    with pytest.raises(ConfigError):
+        build()
 
 
 class TestPatientBenefit:
@@ -264,6 +314,35 @@ class TestExport:
         text = b1.decode()
         assert text.startswith("# aptest 0.1.0 seed=77")
         assert "replicates_eval=1000" in text.splitlines()[0]
+
+    @settings(max_examples=40)
+    @given(
+        scenario=st.text(st.sampled_from("a /\t\n\r\0"), max_size=4),
+        test=st.text(st.sampled_from("a /\t\n\r"), max_size=4),
+    )
+    def test_every_row_has_the_header_field_count(self, scenario, test):
+        # any scenario that constructs exports well-formed tab-delimited files
+        try:
+            spec = tiny_scenario(
+                name=scenario,
+                design=DesignConfig(4, 2, 1, 2),
+                tests=(TestEntry(lastblock_ap_test(name=test)),
+                       TestEntry(ComparatorTest("lr", test + "lr"), mode="nominal")),
+                replicates_eval=20,
+                replicates_calib=20,
+            )
+        except ConfigError:
+            return
+        report = run_scenario(spec)
+        with tempfile.TemporaryDirectory() as out:
+            export_report(Path(out) / "r.tsv", report)
+            export_critical_values(Path(out) / "cv.tsv", report.critical_values, 20, 0, "null")
+            for name, comments in (("r.tsv", 1), ("cv.tsv", 0)):
+                # read as text, so a carriage return ends a line too
+                with open(Path(out) / name, encoding="utf-8") as fh:
+                    header, *rows = fh.read().split("\n")[comments:-1]
+                assert len(rows) == (len(report.rows) if name == "r.tsv" else 1)
+                assert all(row.count("\t") == header.count("\t") for row in rows)
 
     def test_model_label_formatting(self):
         assert model_label("exponential", 1.0, 1.0) == "exponential(1,1)"
