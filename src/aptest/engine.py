@@ -35,6 +35,7 @@ from .models import (
     OutcomeModel,
     PriorSpec,
     beta_posterior,
+    beta_prior_carry,
     beta_superiority_vec,
     gamma_posterior,
     gamma_superiority_vec,
@@ -89,10 +90,6 @@ def validate_battery(
         raise ConfigError(
             f"prior {type(prior).__name__} does not match outcome family {model.kind}"
         )
-    if isinstance(prior, BetaPrior):
-        for v in (prior.alpha, prior.beta):
-            if abs(v - round(v)) > 1e-9:
-                raise ConfigError("batched simulation requires integer beta prior parameters")
     names = [t.name for t in tests]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate test names in battery: {names}")
@@ -131,12 +128,16 @@ class _PosteriorVec:
         self._table: np.ndarray | None = None
         self._carry: BetaCarry | None = None
         if isinstance(prior, BetaPrior):
-            # integer hyperparameters keep the posterior parameters integer
-            # arrays, which index the log-gamma table
-            self.prior = BetaPrior(round(prior.alpha), round(prior.beta))
-            top = 2 * (self.prior.alpha + self.prior.beta) + 4 * max_n + 16
-            self._table = special.gammaln(np.arange(top, dtype=np.float64))
-            self._carry = BetaCarry()  # filled by the first superiority call
+            if float(prior.alpha).is_integer() and float(prior.beta).is_integer():
+                # integer hyperparameters keep the posterior parameters integer
+                # arrays, which index the log-gamma table of the exact sum
+                self.prior = BetaPrior(int(prior.alpha), int(prior.beta))
+                top = 2 * (self.prior.alpha + self.prior.beta) + 4 * max_n + 16
+                self._table = special.gammaln(np.arange(top, dtype=np.float64))
+                self._carry = BetaCarry()  # filled by the first superiority call
+            else:
+                # no exact sum exists: the carry starts at the prior
+                self._carry = beta_prior_carry(prior.alpha, prior.beta, size)
         if isinstance(model.family, NormalKnownVar):
             self._sds = (model.family.sd_control, model.family.sd_experimental)
 
@@ -144,7 +145,8 @@ class _PosteriorVec:
         """P(experimental better) per replicate.
 
         Beta posteriors step the chunk's carry from the previous call unless
-        ``exact``, which takes the exact sum and leaves the carry alone.
+        ``exact`` and the prior is integral, which takes the exact sum and
+        leaves the carry alone.
         """
         prior = self.prior
         exp = ArmPosterior(self.n1, self.s1)
@@ -156,7 +158,7 @@ class _PosteriorVec:
                 *beta_posterior(prior, exp),
                 *beta_posterior(prior, ctrl),
                 self._table,
-                carry=None if exact else self._carry,
+                carry=None if exact and self._table is not None else self._carry,
             )
         else:
             sd0, sd1 = self._sds
@@ -231,7 +233,7 @@ def _simulate_chunk(
             post.absorb(k1, B - k1, rng)
 
         # Hypothetical final block: untuned posterior probability from all data,
-        # from the exact sum rather than the carried recurrence.
+        # from the exact sum rather than the carried recurrence where one exists.
         record(post.superiority(exact=True), T + 1)
     else:
         # equal randomization balances all N subjects; odd N leaves one to a coin

@@ -10,4 +10,4 @@ class DataError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical routine (quadrature, calibration) failed to converge."""
+    """A superiority probability, outcome or comparator statistic is not finite."""

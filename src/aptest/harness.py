@@ -47,6 +47,9 @@ log = logging.getLogger(__name__)
 CALIBRATED = "calibrated"
 NOMINAL = "nominal"
 
+#: Longest file name, in bytes, that common file systems accept.
+MAX_FILE_NAME_BYTES = 255
+
 _PRIMARY_ROLE = 0
 _ER_ROLE = 1
 
@@ -104,6 +107,16 @@ class ScenarioSpec:
             raise ConfigError(
                 "scenario name must be non-empty and hold no tab, line break, '/' or NUL, "
                 f"got {self.name!r}"
+            )
+        # the longest of those file names must be one a file system takes
+        try:
+            longest = len(f"{self.name}_critical_values.tsv".encode("utf-8"))
+        except UnicodeEncodeError:
+            raise ConfigError(f"scenario name must encode as UTF-8, got {self.name!r}") from None
+        if longest > MAX_FILE_NAME_BYTES:
+            raise ConfigError(
+                f"scenario name is too long: '<name>_critical_values.tsv' takes {longest} "
+                f"bytes, more than the {MAX_FILE_NAME_BYTES} of a file name"
             )
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")

@@ -9,15 +9,18 @@ trial is summarized by per-arm counts and sufficient statistics.
 The quantity that drives response-adaptive allocation is the posterior
 probability that the experimental arm's parameter beats the control arm's.
 It is computed in closed form for every gamma and normal posterior and for
-beta posteriors with an integer parameter, and by adaptive quadrature for
-the remaining beta posteriors.  The elementwise kernels here serve both the
-single-trial path and the batched engine.
+beta posteriors with an integer parameter.  The elementwise kernels here
+serve both the single-trial path and the batched engine.
 
 The beta kernel's exact finite sum costs O(smallest parameter) per call, so
 re-summing it at every block makes a trial O(N^2).  Given a ``BetaCarry``,
 it instead carries P(X1 > X0) from call to call and moves it by Cook's
 (2005, "Exact calculation of beta inequalities") one-step recurrences,
-O(1) per new subject; the batched engine carries one per chunk.
+O(1) per new subject; the batched engine carries one per chunk.  The
+recurrences hold for real parameters, and at a prior shared by both arms
+P(X1 > X0) is exactly 1/2, so a carry started at the prior
+(``beta_prior_carry``) reaches the beta posteriors that have no integer
+parameter, for which no finite sum exists.
 """
 
 from __future__ import annotations
@@ -377,8 +380,9 @@ def _beta_log_g(al1, be1, al0, be0, table) -> np.ndarray:
 class BetaCarry:
     """Recurrence state of ``beta_superiority_vec``, one entry per element.
 
-    Empty until the first call fills it; it then holds the last parameters
-    (as floats), h = P(X1 > X0) there, and log g with
+    Empty until the first call fills it from the exact sum, unless
+    ``beta_prior_carry`` built it filled.  A filled carry holds the last
+    parameters (as floats), h = P(X1 > X0) there, and log g with
     g = B(a0+a1, b0+b1) / (B(a1, b1) B(a0, b0)).
     """
 
@@ -388,6 +392,21 @@ class BetaCarry:
     #: scratch arrays reused by every step: a fresh chunk-sized array costs a
     #: page fault per 4 KiB on first touch, more than the arithmetic on it
     work: tuple[np.ndarray, ...] = ()
+
+
+def beta_prior_carry(alpha: float, beta: float, size: int) -> BetaCarry:
+    """A filled ``BetaCarry`` of ``size`` elements, each at Beta(alpha, beta) on both arms.
+
+    Two equal beta laws give P(X1 > X0) = 1/2 exactly, and
+    log g = betaln(2 alpha, 2 beta) - 2 betaln(alpha, beta); from there the
+    carry steps to posteriors of any real parameters, with no exact sum.
+    """
+    log_g = special.betaln(2.0 * alpha, 2.0 * beta) - 2.0 * special.betaln(alpha, beta)
+    return BetaCarry(
+        params=tuple(np.full(size, float(v)) for v in (alpha, beta, alpha, beta)),
+        h=np.full(size, 0.5),
+        log_g=np.full(size, log_g),
+    )
 
 
 #: Unit steps between folds of the linear factor r into log g.  A step moves
@@ -405,11 +424,14 @@ def _beta_sup_step(carry: BetaCarry, targets) -> np.ndarray:
     # into log g, so a long lopsided trial underflows no state, only terms
     # far below the probability floor.
     a1, b1, a0, b0 = params = carry.params
-    if any((target < par).any() for target, par in zip(targets, params)):
-        raise ValueError("beta superiority carry: parameters may only grow")
     if not carry.work:
-        carry.work = tuple(np.empty(carry.h.shape) for _ in range(9))
-    delta, g0, r, m, mr, q, grow, other, total = carry.work
+        carry.work = tuple(np.empty(carry.h.shape) for _ in range(12))
+    *deltas, g0, r, m, mr, q, grow, other, total = carry.work
+    for delta, target, par in zip(deltas, targets, params):
+        # whole steps: a real parameter stepped by ones can sit an ulp off its target
+        np.rint(np.subtract(target, par, out=delta), out=delta)
+    if any((delta < 0).any() for delta in deltas):
+        raise ValueError("beta superiority carry: parameters may only grow")
     h = carry.h.copy()
     log_g = carry.log_g
     np.exp(log_g, out=g0)
@@ -418,13 +440,12 @@ def _beta_sup_step(carry: BetaCarry, targets) -> np.ndarray:
     total += b0
     total += b1
     steps = 0
-    for par, same_letter, same_arm, signed, target in (
-        (a1, (a0, a1), (a1, b1), np.add, targets[0]),
-        (b1, (b0, b1), (a1, b1), np.subtract, targets[1]),
-        (a0, (a0, a1), (a0, b0), np.subtract, targets[2]),
-        (b0, (b0, b1), (a0, b0), np.add, targets[3]),
+    for par, same_letter, same_arm, signed, delta in (
+        (a1, (a0, a1), (a1, b1), np.add, deltas[0]),
+        (b1, (b0, b1), (a1, b1), np.subtract, deltas[1]),
+        (a0, (a0, a1), (a0, b0), np.subtract, deltas[2]),
+        (b0, (b0, b1), (a0, b0), np.add, deltas[3]),
     ):
-        np.subtract(target, par, out=delta)
         for _ in range(int(delta.max())):
             np.minimum(delta, 1.0, out=m)  # 1 where this parameter still grows
             delta -= m
@@ -459,15 +480,17 @@ def _symmetric(a1, b1, a0, b0):
 def beta_superiority_vec(
     al1, be1, al0, be0, table, carry: BetaCarry | None = None
 ) -> np.ndarray:
-    """P(X1 > X0) elementwise for beta posteriors with integer parameters.
+    """P(X1 > X0) elementwise for beta posteriors.
 
-    ``table`` holds gammaln(0..M) for M beyond every parameter sum.  Without
-    ``carry`` (or with an empty one) the value is the exact finite sum, whose
-    cost grows with the smallest parameter.  A filled ``carry`` is stepped
-    from its last parameters to these, which may only grow, at O(1) per unit
-    increment; the result is then also the carry's state, not to be modified
-    in place.  Identical posteriors, and pairs of posteriors that are each
-    symmetric about 1/2, give exactly 0.5.
+    Without ``carry`` (or with an empty one) the value is the exact finite
+    sum, whose cost grows with the smallest parameter; it needs integer
+    parameters, and ``table`` holding gammaln(0..M) for M beyond every
+    parameter sum.  A filled ``carry`` is stepped from its last parameters
+    to these, which may be real and may only grow by whole units, at O(1)
+    per unit increment, and ``table`` is not read; the result is then also
+    the carry's state, not to be modified in place.  Identical posteriors,
+    and pairs of posteriors that are each symmetric about 1/2, give exactly
+    0.5.
     """
     if carry is not None and carry.h is not None:
         h = _beta_sup_step(carry, (al1, be1, al0, be0))
@@ -550,7 +573,13 @@ def beta_superiority_closed(a1: float, b1: float, a0: float, b0: float) -> float
 
 
 def _quadrature_superiority(dist_exp, dist_ctrl) -> float:
-    """Integral of pdf_exp(x) * cdf_ctrl(x) over a bracketing of both supports."""
+    """Integral of pdf_exp(x) * cdf_ctrl(x) over a bracketing of both supports.
+
+    Nothing in the package calls it: beta posteriors with no integer
+    parameter step a carry from the prior instead.  Its one reader is the
+    benchmark's tracer (``perfbench/tracing.py``), which wraps the name to
+    count quadrature calls; it goes once that wrap does.
+    """
     from scipy import integrate  # loaded on first use: most runs never integrate
 
     eps = 1e-15
@@ -582,9 +611,10 @@ def superiority_probability(
     """Posterior probability that the experimental arm's parameter is better.
 
     Gamma and normal posteriors use their closed forms for any parameters;
-    beta posteriors use the finite sum when a parameter is an integer and
-    adaptive quadrature (absolute tolerance 1e-10) otherwise; symmetric beta
-    pairs give exactly 0.5, as in ``beta_superiority_vec``.  For the normal
+    beta posteriors use the finite sum when a parameter is an integer, and
+    otherwise step a one-element carry from the prior to the posterior by
+    Cook's recurrences, one step per subject; symmetric beta pairs give
+    exactly 0.5, as in ``beta_superiority_vec``.  For the normal
     family ``sds`` must supply the known (control, experimental) outcome
     standard deviations.
 
@@ -604,9 +634,8 @@ def superiority_probability(
         elif any(_is_integral(v) for v in (a1, a0, b0, b1)):
             larger = beta_superiority_closed(a1, b1, a0, b0)
         else:
-            from scipy import stats  # loaded on first use, like the quadrature
-
-            larger = _quadrature_superiority(stats.beta(a1, b1), stats.beta(a0, b0))
+            carry = beta_prior_carry(prior.alpha, prior.beta, 1)
+            larger = float(_beta_sup_step(carry, [np.array([v]) for v in (a1, b1, a0, b0)])[0])
     elif isinstance(prior, NormalPrior):
         if sds is None:
             raise ConfigError("normal superiority requires known outcome sds")

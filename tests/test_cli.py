@@ -276,6 +276,24 @@ class TestLoadConfig:
         assert f"{key_path}: " in err and expected in err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.yaml"]
 
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ('"a\\ud800b"', "scenario name must encode as UTF-8, got 'a\\ud800b'"),
+            ("x" * 300, "scenario name is too long: '<name>_critical_values.tsv' takes 320 bytes"),
+        ],
+        ids=["lone-surrogate", "300-characters"],
+    )
+    def test_name_that_cannot_name_a_file_rejected(self, tmp_path, capsys, name, expected):
+        # a lone surrogate (which YAML accepts) or an over-long name fails
+        # before any simulation, not when the report is written
+        config = tmp_path / "c.yaml"
+        config.write_text(GOOD_CONFIG.replace("name: demo", f"name: {name}"))
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        assert f"scenarios[0]: {expected}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.yaml"]
+
     @pytest.mark.parametrize("char", ["\\t", "\\n", "\\r"])
     @pytest.mark.parametrize(
         "old, index",
@@ -496,13 +514,6 @@ class TestEndToEnd:
     @pytest.mark.parametrize(
         "second_replace",
         [
-            # the batched engine needs integer beta prior parameters
-            (
-                ("family: exponential, control: 1.0, experimental: [1.8]",
-                 "family: bernoulli, control: 0.5, experimental: [0.7]"),
-                ("kind: gamma, shape: 1.0, rate: 0.001", "kind: beta, alpha: 0.5, beta: 0.5"),
-                ("comparator: lr", "comparator: fisher"),
-            ),
             # custom weights cover blocks 1..13 here, so 3 values are too few
             (("- {ap: lastblock}", "- {ap: custom, name: w3, weights: [1, 1, 1]}"),),
             (("evaluation: 1000}", "evaluation: 0}"),),
@@ -547,6 +558,24 @@ class TestEndToEnd:
         argv = ["--config", str(config), "--out", str(tmp_path / "out"), "--threads", threads]
         assert main(argv) == EXIT_CONFIG
 
+    def test_jeffreys_binary_scenario_runs_alike_at_any_thread_count(self, tmp_path):
+        # a real beta prior has no exact sum; the engine carries from the prior
+        config = tmp_path / "c.yaml"
+        config.write_text(
+            GOOD_CONFIG.replace("family: exponential, control: 1.0, experimental: [1.8]",
+                                "family: bernoulli, control: 0.5, experimental: [0.7]")
+            .replace("kind: gamma, shape: 1.0, rate: 0.001", "kind: beta, alpha: 0.5, beta: 0.5")
+            .replace("comparator: lr", "comparator: fisher")
+            .replace("calibration: 3000, evaluation: 1000", "calibration: 2000, evaluation: 500")
+        )
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"out-{threads}"
+            assert main(["--config", str(config), "--out", str(out), "--threads", threads]) == 0
+            outputs[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert set(outputs["1"]) == {"demo_report.tsv", "demo_critical_values.tsv"}
+        assert outputs["1"] == outputs["2"]
+
     def test_non_integer_gamma_prior_runs(self, tmp_path):
         config = tmp_path / "c.yaml"
         config.write_text(GOOD_CONFIG.replace("shape: 1.0", "shape: 0.5"))
@@ -558,7 +587,8 @@ class TestEndToEnd:
         probe = (
             "import sys\n"
             "from aptest import cli\n"
-            "from aptest.allocation import DesignConfig\n"
+            "import numpy as np\n"
+            "from aptest.allocation import DesignConfig, simulate_trial\n"
             "from aptest.engine import simulate_batch\n"
             "from aptest.models import Bernoulli, BetaPrior, OutcomeModel\n"
             "from aptest.stats import ComparatorTest\n"
@@ -566,6 +596,11 @@ class TestEndToEnd:
             f"['--preset', 'empirical-binary-desk', '--out', {str(tmp_path / 'out')!r}]))\n"
             "simulate_batch(DesignConfig(121, 12, 1, 109), OutcomeModel(Bernoulli(0.7, 0.9)),\n"
             "               BetaPrior(1.0, 1.0), (ComparatorTest('fisher', 'f'),), 100, seed=0)\n"
+            "jeffreys, small = BetaPrior(0.5, 0.5), DesignConfig(24, 4, 4, 5)\n"
+            "simulate_trial(small, OutcomeModel(Bernoulli(0.7, 0.9)), jeffreys,\n"
+            "               np.random.default_rng(0))\n"
+            "simulate_batch(small, OutcomeModel(Bernoulli(0.7, 0.9)), jeffreys,\n"
+            "               (ComparatorTest('fisher', 'f'),), 100, seed=0)\n"
             "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])\n"
         )
         result = subprocess.run(

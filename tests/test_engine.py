@@ -17,6 +17,7 @@ from aptest.allocation import (
     StandardBRAR,
     TunedBRAR,
     simulate_trial,
+    tune_probability,
 )
 from aptest.engine import CHUNK_SIZE, derive_rng, simulate_batch
 from aptest.errors import ConfigError, NumericalError
@@ -99,6 +100,31 @@ class TestBetaCarry:
             np.testing.assert_allclose(
                 carried.statistics[name], exact.statistics[name], rtol=1e-9, atol=0
             )
+
+    @pytest.mark.parametrize("tuned", [False, True])
+    def test_real_prior_carry_follows_scalar_trajectory(self, tuned):
+        # a Jeffreys prior has no exact sum: the engine carries from the prior
+        # through block T+1, the scalar path steps from the prior at each call
+        design = DesignConfig(
+            121, 12, 1, 109, design=TunedBRAR() if tuned else StandardBRAR()
+        )
+        model = OutcomeModel(Bernoulli(0.55, 0.7))
+        prior = BetaPrior(0.5, 0.5)
+        traj = simulate_trial(design, model, prior, np.random.default_rng(5))
+        post = engine._PosteriorVec(model, prior, 1, design.total_n)
+        T = design.num_blocks
+        for t, (arms, ys) in enumerate(zip(traj.allocations, traj.outcomes)):
+            post.n1 += int(arms.sum())
+            post.n0 += int(arms.size - arms.sum())
+            post.s1 += int(ys[arms == 1].sum())
+            post.s0 += int(ys[arms == 0].sum())
+            if t < T:
+                pi = post.superiority()
+                if tuned:
+                    pi = tune_probability(pi, t + 1, T)
+            else:
+                pi = post.superiority(exact=True)
+            assert abs(pi[0] - traj.alloc_probs[t]) < 1e-12
 
 
 class TestDeterminism:

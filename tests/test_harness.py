@@ -90,13 +90,8 @@ class TestScenarioValidation:
             tiny_scenario(alternative_models=(OutcomeModel(Exponential(1.0, 1.0000001)),))
 
     def test_battery_checked_at_construction(self):
-        with pytest.raises(ConfigError, match="integer beta prior"):
-            tiny_scenario(
-                prior=BetaPrior(0.5, 0.5),
-                null_model=OutcomeModel(Bernoulli(0.5, 0.5)),
-                alternative_models=(),
-                tests=(TestEntry(lastblock_ap_test()),),
-            )
+        with pytest.raises(ConfigError, match="does not match outcome family"):
+            tiny_scenario(prior=BetaPrior(0.5, 0.5))
         with pytest.raises(ConfigError, match="does not apply"):
             tiny_scenario(tests=(TestEntry(ComparatorTest("z", "z-er"), on_er=True),))
 

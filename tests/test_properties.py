@@ -9,7 +9,7 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special
@@ -25,11 +25,14 @@ from aptest.models import (
     NormalKnownVar,
     NormalPrior,
     OutcomeModel,
+    beta_posterior,
+    beta_prior_carry,
+    beta_superiority_closed,
     beta_superiority_vec,
     superiority_probability,
 )
 from aptest.stats import fisher_exact_one_sided, fisher_statistic_from_counts
-from tests.test_models import quadrature_gamma_superiority
+from tests.test_models import quadrature_beta_superiority, quadrature_gamma_superiority
 
 directions = st.sampled_from(("larger", "smaller"))
 gamma_priors = st.builds(GammaPrior, st.floats(0.3, 5.0), st.floats(0.001, 2.0))
@@ -41,8 +44,8 @@ response_arms = st.builds(ArmPosterior, st.integers(0, 60), st.floats(-50.0, 50.
 
 
 @st.composite
-def count_arms(draw):
-    n = draw(st.integers(0, 60))
+def count_arms(draw, max_n=60):
+    n = draw(st.integers(0, max_n))
     return ArmPosterior(n, float(draw(st.integers(0, n))))
 
 
@@ -241,6 +244,58 @@ def test_beta_carry_survives_long_lopsided_trials(per_call):
     params = params + np.array([[3], [0], [0], [0]])
     carried = beta_superiority_vec(*params, table, carry=carry)
     assert abs(carried[0] - beta_superiority_vec(*params, table)[0]) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# Real beta priors: the carry stepped from the prior
+# ---------------------------------------------------------------------------
+
+real_parameters = st.floats(0.05, 20.0)
+integral_parameters = st.integers(1, 20).map(float)
+
+
+def prior_carried(prior, params) -> float:
+    carry = beta_prior_carry(prior.alpha, prior.beta, 1)
+    return beta_superiority_vec(*(np.array([v]) for v in params), None, carry=carry)[0]
+
+
+@given(
+    st.one_of(
+        st.builds(BetaPrior, integral_parameters, real_parameters),
+        st.builds(BetaPrior, real_parameters, integral_parameters),
+    ),
+    count_arms(80),
+    count_arms(80),
+)
+def test_prior_seeded_beta_carry_matches_finite_sum(prior, exp, ctrl):
+    params = (*beta_posterior(prior, exp), *beta_posterior(prior, ctrl))
+    assert abs(prior_carried(prior, params) - beta_superiority_closed(*params)) < 1e-12
+
+
+@given(st.builds(BetaPrior, real_parameters, real_parameters), count_arms(80), count_arms(80))
+def test_prior_seeded_beta_carry_matches_quadrature(prior, exp, ctrl):
+    params = (*beta_posterior(prior, exp), *beta_posterior(prior, ctrl))
+    # Below 1 a density is unbounded at an end of [0, 1], and the quadrature's
+    # own error reaches 1e-6 there against the finite sum; the test above
+    # covers that region.
+    assume(min(params) >= 1.0)
+    assert abs(prior_carried(prior, params) - quadrature_beta_superiority(*params)) < 1e-10
+
+
+@given(
+    st.builds(
+        BetaPrior,
+        st.one_of(real_parameters, integral_parameters),
+        st.one_of(real_parameters, integral_parameters),
+    ),
+    directions,
+    st.lists(st.tuples(count_arms(80), count_arms(80)), min_size=1, max_size=20),
+)
+def test_real_beta_prior_scalar_matches_engine(prior, direction, pairs):
+    model = OutcomeModel(Bernoulli(0.5, 0.5), direction)
+    vec = engine_superiority(model, prior, pairs)
+    scalar = [superiority_probability(exp, ctrl, prior, direction) for exp, ctrl in pairs]
+    assert np.max(np.abs(vec - scalar)) < 1e-11
 
 
 # ---------------------------------------------------------------------------

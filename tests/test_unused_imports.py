@@ -3,8 +3,8 @@ where it is not needed.
 
 No linter is part of the toolchain, so these stdlib ``ast`` passes stand in
 for the checks that refactors most often break: an import left behind, and
-``scipy.stats`` or ``scipy.integrate`` (about 0.8 s to import) hoisted onto
-a path that every run takes.
+``scipy.stats`` or ``scipy.integrate`` (about 0.8 s to import) brought back
+onto a path that a run takes.
 """
 
 import ast
@@ -48,8 +48,10 @@ def test_no_unused_module_level_import(path):
 SLOW_MODULES = ("scipy.stats", "scipy.integrate")
 
 
-def slow_imports(source: str) -> list[tuple[str | None, tuple[str, ...]]]:
-    """(enclosing function, enclosing branches) of each import of a slow module.
+def slow_imports(
+    source: str, modules: tuple[str, ...] = SLOW_MODULES
+) -> list[tuple[str | None, tuple[str, ...]]]:
+    """(enclosing function, enclosing branches) of each import of one of ``modules``.
 
     A branch is the source of an enclosing ``if`` test, prefixed ``not ``
     inside its ``else`` part.
@@ -62,7 +64,7 @@ def slow_imports(source: str) -> list[tuple[str | None, tuple[str, ...]]]:
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module:
             names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
-        if any(n == m or n.startswith(m + ".") for n in names for m in SLOW_MODULES):
+        if any(n == m or n.startswith(m + ".") for n in names for m in modules):
             found.append((function, tuple(branches)))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
@@ -80,17 +82,6 @@ def slow_imports(source: str) -> list[tuple[str | None, tuple[str, ...]]]:
     return found
 
 
-def runs_only_for_beta_quadrature(function, branches) -> bool:
-    """Inside the quadrature, or in the beta branch with no integer parameter."""
-    if function == "_quadrature_superiority":
-        return True
-    return (
-        function == "superiority_probability"
-        and any("BetaPrior" in b and not b.startswith("not ") for b in branches)
-        and any(b.startswith("not ") and "_is_integral" in b for b in branches)
-    )
-
-
 def test_slow_import_checker_sees_every_form():
     source = (
         "import scipy.stats\nfrom scipy import integrate\n"
@@ -105,9 +96,8 @@ def test_slow_import_checker_sees_every_form():
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_slow_modules_imported_only_for_beta_quadrature(path):
-    found = slow_imports(path.read_text(encoding="utf-8"))
-    assert [place for place in found if not runs_only_for_beta_quadrature(*place)] == []
-    if path.name == "models.py":
-        assert len(found) == 2  # the quadrature's scipy.integrate and its stats.beta
-    else:
-        assert found == []
+    # scipy.stats nowhere; scipy.integrate only in the quadrature, which nothing calls
+    source = path.read_text(encoding="utf-8")
+    assert slow_imports(source, ("scipy.stats",)) == []
+    in_quadrature = [("_quadrature_superiority", ())] if path.name == "models.py" else []
+    assert slow_imports(source, ("scipy.integrate",)) == in_quadrature
