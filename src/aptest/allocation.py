@@ -27,6 +27,7 @@ from .models import (
     prior_matches_family,
     sample_outcome,
     superiority_probability,
+    trial_beta_carry,
     update_posterior,
 )
 
@@ -189,6 +190,7 @@ def simulate_trial(
     er_labels = None if design.is_adaptive else _balanced_labels(design.total_n, rng)
 
     state = initial_posterior(model.kind)
+    carry = trial_beta_carry(prior)
     allocations: list[np.ndarray] = []
     outcomes: list[np.ndarray] = []
 
@@ -209,7 +211,9 @@ def simulate_trial(
 
     probs = np.empty(T + 1, dtype=np.float64)
     for t in range(1, T + 1):
-        pi = superiority_probability(state.experimental, state.control, prior, direction, sds)
+        pi = superiority_probability(
+            state.experimental, state.control, prior, direction, sds, carry
+        )
         if tuned:
             pi = tune_probability(pi, t, T)
         probs[t - 1] = pi
@@ -222,7 +226,9 @@ def simulate_trial(
 
     # Hypothetical block T+1: computed from all data, untuned (the tuning
     # schedule ends at c = 1, so the posterior probability is used directly).
-    probs[T] = superiority_probability(state.experimental, state.control, prior, direction, sds)
+    probs[T] = superiority_probability(
+        state.experimental, state.control, prior, direction, sds, carry
+    )
 
     return TrialTrajectory(
         allocations=tuple(allocations),

@@ -8,7 +8,11 @@ work is pure array arithmetic; only sufficient statistics are tracked, so
 memory stays O(chunk) regardless of trial length.
 
 The per-block random stream order is: allocation counts, experimental-arm
-outcome sums, control-arm outcome sums.
+outcome sums, control-arm outcome sums.  An adaptive block of size 1 gives
+each replicate one subject, so a normal block draws one standard normal per
+replicate after the allocations and scales it to the arm that subject went
+to; every other block draws both arms.  (Empty arms spend no random numbers
+on exponential and Bernoulli sums, so those families draw alike either way.)
 
 At more than one thread every chunk runs on one process pool that lives for
 the whole process (``shared_pool``), so several batches can share it.
@@ -174,6 +178,30 @@ class _PosteriorVec:
         self.n1 += k1
         self.n0 += k0
 
+    def absorb_one(self, k1: np.ndarray, rng: np.random.Generator) -> None:
+        """Fold in one new subject per replicate, on the experimental arm where k1 is 1.
+
+        A normal subject's outcome is mean + sd * z for its own arm, from one
+        standard normal z per replicate: drawing one per arm would throw half
+        of them away.
+        """
+        k0 = 1 - k1
+        if self.kind != "normal":
+            self.absorb(k1, k0, rng)
+            return
+        fam = self.model.family
+        z = rng.standard_normal(k1.size)
+        y = z * fam.sd_experimental
+        y += fam.mean_experimental
+        y *= k1
+        self.s1 += y
+        z *= fam.sd_control
+        z += fam.mean_control
+        z *= k0
+        self.s0 += z
+        self.n1 += k1
+        self.n0 += k0
+
 
 def _outcome_sums(model: OutcomeModel, arm: int, counts: np.ndarray, rng) -> np.ndarray:
     fam = model.family
@@ -227,10 +255,10 @@ def _simulate_chunk(
                 pi = tune_probability(pi, t, T)
             record(pi, t)
             if B == 1:
-                k1 = (rng.random(size) < pi).astype(np.int64)
+                post.absorb_one((rng.random(size) < pi).astype(np.int64), rng)
             else:
                 k1 = rng.binomial(B, pi)
-            post.absorb(k1, B - k1, rng)
+                post.absorb(k1, B - k1, rng)
 
         # Hypothetical final block: untuned posterior probability from all data,
         # from the exact sum rather than the carried recurrence where one exists.

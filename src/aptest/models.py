@@ -545,6 +545,20 @@ def _beta_superiority_core(a1: float, b1: float, a0: float, b0: float) -> float:
     return total
 
 
+def trial_beta_carry(prior: PriorSpec) -> BetaCarry | None:
+    """The one-element carry a single trial steps block by block, or None.
+
+    Only a beta prior with no integral parameter needs one: its posteriors
+    have no finite sum, and a carry restarted from the prior at every
+    call would make a trial O(N^2) unit steps.
+    """
+    if isinstance(prior, BetaPrior) and not (
+        _is_integral(prior.alpha) or _is_integral(prior.beta)
+    ):
+        return beta_prior_carry(prior.alpha, prior.beta, 1)
+    return None
+
+
 def beta_superiority_closed(a1: float, b1: float, a0: float, b0: float) -> float:
     """P(X1 > X0) for beta posteriors via the finite sum over an integer parameter.
 
@@ -607,16 +621,18 @@ def superiority_probability(
     prior: PriorSpec,
     direction: str = LARGER,
     sds: tuple[float, float] | None = None,
+    carry: BetaCarry | None = None,
 ) -> float:
     """Posterior probability that the experimental arm's parameter is better.
 
-    Gamma and normal posteriors use their closed forms for any parameters;
-    beta posteriors use the finite sum when a parameter is an integer, and
-    otherwise step a one-element carry from the prior to the posterior by
-    Cook's recurrences, one step per subject; symmetric beta pairs give
-    exactly 0.5, as in ``beta_superiority_vec``.  For the normal
-    family ``sds`` must supply the known (control, experimental) outcome
-    standard deviations.
+    Gamma and normal posteriors use their closed forms for any parameters.
+    A beta posterior steps ``carry``, a filled one-element ``BetaCarry``
+    (``trial_beta_carry``), from its last call to these posteriors by
+    Cook's recurrences, one step per new subject; without a carry it uses
+    the finite sum when a parameter is an integer, and otherwise steps a
+    fresh carry from the prior.  Symmetric beta pairs give exactly 0.5, as
+    in ``beta_superiority_vec``.  For the normal family ``sds`` must supply
+    the known (control, experimental) outcome standard deviations.
 
     The returned value is clamped to the open interval (0, 1).
     """
@@ -629,13 +645,15 @@ def superiority_probability(
     elif isinstance(prior, BetaPrior):
         a1, b1 = beta_posterior(prior, post_exp)
         a0, b0 = beta_posterior(prior, post_ctrl)
-        if _symmetric(a1, b1, a0, b0):
+        if carry is None and not any(_is_integral(v) for v in (a1, a0, b0, b1)):
+            carry = beta_prior_carry(prior.alpha, prior.beta, 1)  # no finite sum exists
+        if carry is not None:
+            params = (np.array([v], dtype=np.float64) for v in (a1, b1, a0, b0))
+            larger = float(beta_superiority_vec(*params, None, carry=carry)[0])
+        elif _symmetric(a1, b1, a0, b0):
             larger = 0.5
-        elif any(_is_integral(v) for v in (a1, a0, b0, b1)):
-            larger = beta_superiority_closed(a1, b1, a0, b0)
         else:
-            carry = beta_prior_carry(prior.alpha, prior.beta, 1)
-            larger = float(_beta_sup_step(carry, [np.array([v]) for v in (a1, b1, a0, b0)])[0])
+            larger = beta_superiority_closed(a1, b1, a0, b0)
     elif isinstance(prior, NormalPrior):
         if sds is None:
             raise ConfigError("normal superiority requires known outcome sds")

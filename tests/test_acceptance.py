@@ -632,13 +632,25 @@ scenarios:
       - {ap: original}
       - {ap: timedirect}
       - {comparator: fisher, mode: nominal}
+  - name: determinism-normal
+    design: {kind: standard, total_n: 30, burn_in: 6, block_size: 1}
+    outcome: {family: normal, control: 0.0, experimental: [0.6], sd_control: 1.0, sd_experimental: 2.0}
+    prior: {kind: normal, mean: 0.0, variance: 100.0}
+    alpha: 0.05
+    seed: 213
+    replicates: {calibration: 20000, evaluation: 3000}
+    tests:
+      - {ap: original}
+      - {ap: lastblock}
+      - {comparator: z, mode: nominal}
 """
 
 
 def test_criterion_9_determinism(tmp_path):
     """Identical manifests give byte-identical outputs; worker-process count
     does not change a single byte.  The binary scenario's calibration spans
-    two chunks, each with its own carried beta recurrence."""
+    two chunks, each with its own carried beta recurrence; the normal one
+    spans two chunks of block size 1, one standard normal per subject."""
     config = tmp_path / "scenario.yaml"
     config.write_text(ACCEPTANCE_CONFIG)
     outs = {}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from aptest import models
 from aptest.allocation import (
     DesignConfig,
     EqualRandomization,
@@ -187,6 +188,24 @@ class TestSimulateTrial:
         assert traj.final_posteriors.kind == "bernoulli"
         n0, n1 = traj.n_by_arm
         assert n0 + n1 == 30
+
+    def test_real_beta_prior_trial_steps_once_per_subject(self, monkeypatch):
+        # no finite sum exists under a Jeffreys prior: one carry crosses the
+        # whole trial, symmetric posteriors included, so the unit steps of
+        # the recurrence add up to at most one per subject
+        step = models._beta_sup_step
+        steps = []
+
+        def counted(carry, targets):
+            steps.append(sum(int(np.rint(t - p).sum()) for t, p in zip(targets, carry.params)))
+            return step(carry, targets)
+
+        monkeypatch.setattr(models, "_beta_sup_step", counted)
+        design = DesignConfig(121, 12, 1, 109)
+        model = OutcomeModel(Bernoulli(0.55, 0.7))
+        simulate_trial(design, model, BetaPrior(0.5, 0.5), derive_rng(4))
+        assert sum(steps) <= design.total_n
+        assert len(steps) == design.num_blocks + 1
 
 
 class TestStatisticalBehavior:

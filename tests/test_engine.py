@@ -103,8 +103,8 @@ class TestBetaCarry:
 
     @pytest.mark.parametrize("tuned", [False, True])
     def test_real_prior_carry_follows_scalar_trajectory(self, tuned):
-        # a Jeffreys prior has no exact sum: the engine carries from the prior
-        # through block T+1, the scalar path steps from the prior at each call
+        # a Jeffreys prior has no exact sum: the engine and the scalar path
+        # each carry from the prior through block T+1
         design = DesignConfig(
             121, 12, 1, 109, design=TunedBRAR() if tuned else StandardBRAR()
         )
@@ -280,6 +280,22 @@ class TestNonFiniteNumbers:
             simulate_batch(design, self.MODEL, PRIOR, (ComparatorTest("lr", "lr"),), 100, seed=0)
 
 
+class TestNormalDrawAtBlockSizeOne:
+    def test_one_standard_normal_scaled_to_each_subjects_arm(self):
+        model = OutcomeModel(NormalKnownVar(0.3, -1.0, 2.0, 0.5))
+        post = engine._PosteriorVec(model, NormalPrior(0.0, 100.0), 8, 10)
+        k1 = np.array([1, 0, 0, 1, 1, 0, 1, 0])
+        rng = derive_rng(7)
+        post.absorb_one(k1, rng)
+        ref = derive_rng(7)
+        z = ref.standard_normal(8)
+        np.testing.assert_array_equal(post.s1, np.where(k1 == 1, -1.0 + 0.5 * z, 0.0))
+        np.testing.assert_array_equal(post.s0, np.where(k1 == 0, 0.3 + 2.0 * z, 0.0))
+        np.testing.assert_array_equal(post.n1, k1)
+        np.testing.assert_array_equal(post.n0, 1 - k1)
+        assert rng.random() == ref.random()  # nothing else was drawn
+
+
 class TestAgainstPerTrialSimulation:
     """The batch path must match the per-subject path in distribution."""
 
@@ -341,18 +357,25 @@ class TestAgainstPerTrialSimulation:
         se_s = succ.std() / np.sqrt(reps)
         assert abs(succ.mean() - batch.outcome_total.mean()) < 5 * se_s
 
-    def test_normal_family_agreement(self):
-        design = DesignConfig(24, 6, 2, 9)
+    # block size 1 draws one standard normal per replicate for the one subject
+    @pytest.mark.parametrize(
+        "design", [DesignConfig(24, 6, 2, 9), DesignConfig(24, 6, 1, 18)], ids=["B2", "B1"]
+    )
+    def test_normal_family_agreement(self, design):
         model = OutcomeModel(NormalKnownVar(0.0, 0.8, 1.0, 1.5))
         prior = NormalPrior(0.0, 1e6)
         batch = simulate_batch(design, model, prior, (lastblock_ap_test(),), 20000, seed=5)
         reps = 2000
         finals = np.empty(reps)
+        totals = np.empty(reps)
         for i in range(reps):
             traj = simulate_trial(design, model, prior, derive_rng(996, i))
             finals[i] = traj.alloc_probs[-1]
+            totals[i] = traj.final_posteriors.control.total + traj.final_posteriors.experimental.total
         se = finals.std() / np.sqrt(reps)
         assert abs(finals.mean() - batch.statistics["lastblock"].mean()) < 5 * se
+        se_t = totals.std() / np.sqrt(reps)
+        assert abs(totals.mean() - batch.outcome_total.mean()) < 5 * se_t
 
     def test_non_integer_gamma_prior_agreement(self):
         from tests.test_properties import engine_superiority
