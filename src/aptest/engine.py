@@ -9,10 +9,10 @@ memory stays O(chunk) regardless of trial length.
 
 The per-block random stream order is: allocation counts, experimental-arm
 outcome sums, control-arm outcome sums.  An adaptive block of size 1 gives
-each replicate one subject, so a normal block draws one standard normal per
-replicate after the allocations and scales it to the arm that subject went
-to; every other block draws both arms.  (Empty arms spend no random numbers
-on exponential and Bernoulli sums, so those families draw alike either way.)
+each replicate one subject, so it draws one array after the allocations
+(uniform, standard exponential or standard normal, by family) and maps each
+replicate's value through the parameters of the arm its subject went to.
+The burn-in, blocks of size above 1 and equal randomization draw both arms.
 
 At more than one thread every chunk runs on one process pool that lives for
 the whole process (``shared_pool``), so several batches can share it.
@@ -181,26 +181,37 @@ class _PosteriorVec:
     def absorb_one(self, k1: np.ndarray, rng: np.random.Generator) -> None:
         """Fold in one new subject per replicate, on the experimental arm where k1 is 1.
 
-        A normal subject's outcome is mean + sd * z for its own arm, from one
-        standard normal z per replicate: drawing one per arm would throw half
-        of them away.
+        Each subject's outcome comes from one draw per replicate, made after
+        the allocation draw and mapped through the parameters of that
+        subject's own arm: a Bernoulli outcome is ``u < p``, an exponential
+        one ``e / rate`` and a normal one ``mean + sd * z``.  Drawing for
+        both arms would throw half of the draws away.
         """
-        k0 = 1 - k1
-        if self.kind != "normal":
-            self.absorb(k1, k0, rng)
-            return
         fam = self.model.family
-        z = rng.standard_normal(k1.size)
-        y = z * fam.sd_experimental
-        y += fam.mean_experimental
-        y *= k1
-        self.s1 += y
-        z *= fam.sd_control
-        z += fam.mean_control
-        z *= k0
-        self.s0 += z
+        size = k1.size
+        if self.kind == "bernoulli":
+            y = rng.random(size) < _per_arm(fam.p_control, fam.p_experimental, k1)
+        elif self.kind == "exponential":
+            y = rng.standard_exponential(size)
+            y /= _per_arm(fam.rate_control, fam.rate_experimental, k1)
+        else:
+            y = rng.standard_normal(size)
+            y *= _per_arm(fam.sd_control, fam.sd_experimental, k1)
+            y += _per_arm(fam.mean_control, fam.mean_experimental, k1)
+        y1 = y * k1
+        self.s1 += y1
+        self.s0 += y - y1  # exactly y where k1 is 0 and 0 where it is 1
         self.n1 += k1
-        self.n0 += k0
+        self.n0 += 1 - k1
+
+
+def _per_arm(control: float, experimental: float, k1: np.ndarray) -> np.ndarray:
+    """Each subject's arm parameter: ``experimental`` where k1 is 1, else ``control``.
+
+    The same values as ``np.where(k1 == 1, experimental, control)``; a take
+    from a two-element table costs a third of that.
+    """
+    return np.array([control, experimental]).take(k1)
 
 
 def _outcome_sums(model: OutcomeModel, arm: int, counts: np.ndarray, rng) -> np.ndarray:

@@ -145,15 +145,25 @@ class TestDeterminism:
         b = simulate_batch(design, model, PRIOR, (), 1000, seed=42, stream=(2,))
         assert not np.array_equal(a.n_experimental, b.n_experimental)
 
-    def test_parallel_equals_serial(self):
+    @pytest.mark.parametrize(
+        "model, prior",
+        [
+            (OutcomeModel(Exponential(1.0, 1.4)), PRIOR),
+            (OutcomeModel(Bernoulli(0.4, 0.6)), BetaPrior(1.0, 1.0)),
+            (OutcomeModel(NormalKnownVar(0.0, 0.5, 1.0, 1.5)), NormalPrior(0.0, 100.0)),
+        ],
+        ids=["exponential", "bernoulli", "normal"],
+    )
+    def test_parallel_equals_serial(self, model, prior):
+        # block size 1: each family's one draw per subject, on the pool and off it
         design = DesignConfig(30, 6, 1, 24)
-        model = OutcomeModel(Exponential(1.0, 1.4))
         tests = (timedirect_ap_test(), lastblock_ap_test())
         replicates = CHUNK_SIZE + 1234  # forces two chunks
-        serial = simulate_batch(design, model, PRIOR, tests, replicates, seed=8, threads=1)
-        parallel = simulate_batch(design, model, PRIOR, tests, replicates, seed=8, threads=2)
+        serial = simulate_batch(design, model, prior, tests, replicates, seed=8, threads=1)
+        parallel = simulate_batch(design, model, prior, tests, replicates, seed=8, threads=2)
         for name in serial.statistics:
             assert np.array_equal(serial.statistics[name], parallel.statistics[name])
+        assert np.array_equal(serial.n_experimental, parallel.n_experimental)
         assert np.array_equal(serial.outcome_total, parallel.outcome_total)
 
     def test_replicate_count_not_multiple_of_chunk(self):
@@ -280,17 +290,44 @@ class TestNonFiniteNumbers:
             simulate_batch(design, self.MODEL, PRIOR, (ComparatorTest("lr", "lr"),), 100, seed=0)
 
 
-class TestNormalDrawAtBlockSizeOne:
-    def test_one_standard_normal_scaled_to_each_subjects_arm(self):
-        model = OutcomeModel(NormalKnownVar(0.3, -1.0, 2.0, 0.5))
-        post = engine._PosteriorVec(model, NormalPrior(0.0, 100.0), 8, 10)
+class TestOneDrawAtBlockSizeOne:
+    # (model, prior, reference draw, outcome of that draw on the control and
+    # on the experimental arm)
+    FAMILIES = {
+        "bernoulli": (
+            OutcomeModel(Bernoulli(0.3, 0.6)),
+            BetaPrior(1.0, 1.0),
+            lambda rng: rng.random(8),
+            lambda u: u < 0.3,
+            lambda u: u < 0.6,
+        ),
+        "exponential": (
+            OutcomeModel(Exponential(2.0, 0.5)),
+            PRIOR,
+            lambda rng: rng.standard_exponential(8),
+            lambda e: e / 2.0,
+            lambda e: e / 0.5,
+        ),
+        "normal": (
+            OutcomeModel(NormalKnownVar(0.3, -1.0, 2.0, 0.5)),
+            NormalPrior(0.0, 100.0),
+            lambda rng: rng.standard_normal(8),
+            lambda z: 0.3 + 2.0 * z,
+            lambda z: -1.0 + 0.5 * z,
+        ),
+    }
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_one_draw_scaled_to_each_subjects_arm(self, family):
+        model, prior, draw, control, experimental = self.FAMILIES[family]
+        post = engine._PosteriorVec(model, prior, 8, 10)
         k1 = np.array([1, 0, 0, 1, 1, 0, 1, 0])
         rng = derive_rng(7)
         post.absorb_one(k1, rng)
         ref = derive_rng(7)
-        z = ref.standard_normal(8)
-        np.testing.assert_array_equal(post.s1, np.where(k1 == 1, -1.0 + 0.5 * z, 0.0))
-        np.testing.assert_array_equal(post.s0, np.where(k1 == 0, 0.3 + 2.0 * z, 0.0))
+        x = draw(ref)
+        np.testing.assert_array_equal(post.s1, np.where(k1 == 1, experimental(x), 0))
+        np.testing.assert_array_equal(post.s0, np.where(k1 == 0, control(x), 0))
         np.testing.assert_array_equal(post.n1, k1)
         np.testing.assert_array_equal(post.n0, 1 - k1)
         assert rng.random() == ref.random()  # nothing else was drawn
@@ -328,20 +365,34 @@ class TestAgainstPerTrialSimulation:
             se(originals) + se(batch.statistics["original"])
         )
 
-    def test_tuned_design_agreement(self):
-        design = DesignConfig(30, 6, 2, 12, design=TunedBRAR())
+    # block size 1 draws one outcome per replicate for the one subject
+    @pytest.mark.parametrize(
+        "design",
+        [
+            DesignConfig(30, 6, 2, 12, design=TunedBRAR()),
+            DesignConfig(30, 6, 1, 24, design=TunedBRAR()),
+        ],
+        ids=["B2", "B1"],
+    )
+    def test_tuned_design_agreement(self, design):
         model = OutcomeModel(Exponential(1.0, 1.8))
         batch = simulate_batch(design, model, PRIOR, (lastblock_ap_test(),), 20000, seed=3)
         reps = 2000
         finals = np.empty(reps)
+        totals = np.empty(reps)
         for i in range(reps):
             traj = simulate_trial(design, model, PRIOR, derive_rng(998, i))
             finals[i] = traj.alloc_probs[-1]
+            totals[i] = traj.final_posteriors.control.total + traj.final_posteriors.experimental.total
         se = finals.std() / np.sqrt(reps)
         assert abs(finals.mean() - batch.statistics["lastblock"].mean()) < 5 * se
+        se_t = totals.std() / np.sqrt(reps)
+        assert abs(totals.mean() - batch.outcome_total.mean()) < 5 * se_t
 
-    def test_bernoulli_family_agreement(self):
-        design = DesignConfig(24, 6, 2, 9)
+    @pytest.mark.parametrize(
+        "design", [DesignConfig(24, 6, 2, 9), DesignConfig(24, 6, 1, 18)], ids=["B2", "B1"]
+    )
+    def test_bernoulli_family_agreement(self, design):
         model = OutcomeModel(Bernoulli(0.4, 0.7))
         prior = BetaPrior(1.0, 1.0)
         batch = simulate_batch(design, model, prior, (lastblock_ap_test(),), 20000, seed=5)
@@ -357,7 +408,6 @@ class TestAgainstPerTrialSimulation:
         se_s = succ.std() / np.sqrt(reps)
         assert abs(succ.mean() - batch.outcome_total.mean()) < 5 * se_s
 
-    # block size 1 draws one standard normal per replicate for the one subject
     @pytest.mark.parametrize(
         "design", [DesignConfig(24, 6, 2, 9), DesignConfig(24, 6, 1, 18)], ids=["B2", "B1"]
     )
