@@ -19,16 +19,15 @@ import numpy as np
 
 from .errors import ConfigError
 from .models import (
+    ArmPosterior,
     NormalKnownVar,
     OutcomeModel,
     PosteriorState,
     PriorSpec,
-    initial_posterior,
     prior_matches_family,
     sample_outcome,
     superiority_probability,
     trial_beta_carry,
-    update_posterior,
 )
 
 
@@ -144,6 +143,10 @@ def tune_probability(pi, t: int, num_blocks: int):
         return pi
     c = 0.1 + 0.9 * t / num_blocks
     num = np.power(pi, c)
+    if isinstance(pi, float):
+        # no array wrapping for one trial's float; np.power, not math.pow,
+        # whose last digit can differ from the array path's
+        return float(num / (num + np.power(1.0 - pi, c)))
     den = num + np.power(1.0 - np.asarray(pi), c)
     out = num / den
     return float(out) if np.isscalar(pi) else out
@@ -189,20 +192,33 @@ def simulate_trial(
 
     er_labels = None if design.is_adaptive else _balanced_labels(design.total_n, rng)
 
-    state = initial_posterior(model.kind)
+    # per-arm (n, outcome total) as plain numbers, [control, experimental];
+    # outcomes add in subject order, as update_posterior folds them
+    counts = [0, 0]
+    totals = [0.0, 0.0]
     carry = trial_beta_carry(prior)
     allocations: list[np.ndarray] = []
     outcomes: list[np.ndarray] = []
 
     def run_block(arms: np.ndarray) -> None:
-        nonlocal state
-        ys = np.empty(arms.size, dtype=np.float64)
-        for i, arm in enumerate(arms):
-            ys[i] = sample_outcome(model, int(arm), rng)
-        for arm, y in zip(arms, ys):
-            state = update_posterior(state, int(arm), float(y))
+        ys = []
+        for arm in arms.tolist():
+            y = sample_outcome(model, arm, rng)
+            counts[arm] += 1
+            totals[arm] += y
+            ys.append(y)
         allocations.append(arms)
-        outcomes.append(ys)
+        outcomes.append(np.array(ys, dtype=np.float64))
+
+    def probability() -> float:
+        return superiority_probability(
+            ArmPosterior(counts[1], totals[1]),
+            ArmPosterior(counts[0], totals[0]),
+            prior,
+            direction,
+            sds,
+            carry,
+        )
 
     if er_labels is not None:
         run_block(er_labels[: design.burn_in])
@@ -211,9 +227,7 @@ def simulate_trial(
 
     probs = np.empty(T + 1, dtype=np.float64)
     for t in range(1, T + 1):
-        pi = superiority_probability(
-            state.experimental, state.control, prior, direction, sds, carry
-        )
+        pi = probability()
         if tuned:
             pi = tune_probability(pi, t, T)
         probs[t - 1] = pi
@@ -226,14 +240,16 @@ def simulate_trial(
 
     # Hypothetical block T+1: computed from all data, untuned (the tuning
     # schedule ends at c = 1, so the posterior probability is used directly).
-    probs[T] = superiority_probability(
-        state.experimental, state.control, prior, direction, sds, carry
-    )
+    probs[T] = probability()
 
     return TrialTrajectory(
         allocations=tuple(allocations),
         outcomes=tuple(outcomes),
         alloc_probs=probs,
-        final_posteriors=state,
+        final_posteriors=PosteriorState(
+            model.kind,
+            ArmPosterior(counts[0], totals[0]),
+            ArmPosterior(counts[1], totals[1]),
+        ),
     )
 

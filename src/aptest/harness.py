@@ -203,7 +203,15 @@ def patient_benefit(batch: BatchResult, model: OutcomeModel, design: DesignConfi
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One (model, test) cell of a performance report."""
+    """One (model, test) cell of a performance report.
+
+    ``mc_se`` is the binomial standard error of ``rejection_rate`` over the
+    evaluation batch alone, sqrt(rate (1 - rate) / replicates_eval).  For a
+    calibrated test it leaves out the noise of the critical value, which is
+    estimated from the calibration batch: on an exponential N=100 tuned-BRAR
+    scenario it read 0.0011 for a calibrated power whose SD over 15 seeds
+    was 0.0027-0.0055.
+    """
 
     scenario: str
     design_label: str

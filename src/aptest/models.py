@@ -518,14 +518,17 @@ def oriented_probability(larger, direction: str):
     NumericalError: a NaN allocation probability would send every subject
     to control.
     """
-    # math.isfinite on scalars: np.isfinite costs a third of a scalar call
-    finite = math.isfinite(larger) if isinstance(larger, float) else np.isfinite(larger).all()
-    if not finite:
+    # a float takes math.isfinite and min/max: array wrapping costs more
+    # than the rest of a scalar call
+    scalar = isinstance(larger, float)
+    if not (math.isfinite(larger) if scalar else np.isfinite(larger).all()):
         raise NumericalError(
             "superiority probability is not finite: posterior parameters out of "
             "floating-point range"
         )
     p = larger if direction == LARGER else 1.0 - larger
+    if scalar:
+        return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
     return np.minimum(np.maximum(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
 
 
@@ -535,13 +538,16 @@ def _is_integral(x: float) -> bool:
 
 def _beta_superiority_core(a1: float, b1: float, a0: float, b0: float) -> float:
     # P(X1 > X0) for X1 ~ Beta(a1, b1), X0 ~ Beta(a0, b0); requires a1 integer.
-    betaln = special.betaln
-    base = betaln(a0, b0)
+    # Term i of the sum is B(a0+i, b0+b1) / ((b1+i) B(1+i, b1) B(a0, b0)):
+    # term 0 is B(a0, b0+b1) / B(a0, b0), and each next term is the last
+    # times (a0+i)(b1+i) / ((a0+b0+b1+i)(i+1)).  Terms are carried in logs,
+    # because the first can fall below the double range.
+    log_term = float(special.betaln(a0, b0 + b1) - special.betaln(a0, b0))
+    params_sum = a0 + b0 + b1
     total = 0.0
     for i in range(int(round(a1))):
-        total += math.exp(
-            betaln(a0 + i, b0 + b1) - math.log(b1 + i) - betaln(1 + i, b1) - base
-        )
+        total += math.exp(log_term)
+        log_term += math.log((a0 + i) * (b1 + i) / ((params_sum + i) * (i + 1)))
     return total
 
 
@@ -568,19 +574,16 @@ def beta_superiority_closed(a1: float, b1: float, a0: float, b0: float) -> float
     over the smallest integral one (mirroring x -> 1-x or swapping the arms
     as needed).
     """
-    candidates = sorted(
-        (value, name)
-        for name, value in (("a1", a1), ("a0", a0), ("b0", b0), ("b1", b1))
-        if _is_integral(value)
-    )
-    if not candidates:
+    # ties go to the first of a0, a1, b0, b1
+    integral = [v for v in (a0, a1, b0, b1) if _is_integral(v)]
+    if not integral:
         raise ConfigError("beta superiority closed form requires an integer parameter")
-    _, pick = candidates[0]
-    if pick == "a1":
-        return _beta_superiority_core(a1, b1, a0, b0)
-    if pick == "a0":
+    low = min(integral)
+    if a0 == low:
         return 1.0 - _beta_superiority_core(a0, b0, a1, b1)
-    if pick == "b0":
+    if a1 == low:
+        return _beta_superiority_core(a1, b1, a0, b0)
+    if b0 == low:
         # X1 > X0  <=>  (1-X0) > (1-X1), with 1-X ~ Beta(b, a)
         return _beta_superiority_core(b0, a0, b1, a1)
     return 1.0 - _beta_superiority_core(b1, a1, b0, a0)

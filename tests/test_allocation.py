@@ -8,7 +8,9 @@ from aptest.allocation import (
     DesignConfig,
     EqualRandomization,
     StandardBRAR,
+    TrialTrajectory,
     TunedBRAR,
+    _balanced_labels,
     simulate_trial,
     tune_probability,
 )
@@ -23,7 +25,10 @@ from aptest.models import (
     NormalPrior,
     OutcomeModel,
     initial_posterior,
+    oriented_probability,
+    sample_outcome,
     superiority_probability,
+    trial_beta_carry,
     update_posterior,
 )
 
@@ -76,6 +81,104 @@ class TestTuneProbability:
             pi = float(rng.uniform(0.001, 0.999))
             tuned = tune_probability(pi, 3, 20)
             assert (tuned > 0.5) == (pi > 0.5) or pi == 0.5
+
+
+class TestFloatBranches:
+    """A trial's float takes a branch of its own; it must keep the array bits."""
+
+    def test_float_equals_one_element_array(self):
+        floor = models.PROB_FLOOR
+        edges = [floor, 1e-12, 0.3, 0.5, 0.7, 1.0 - 1e-12, 1.0 - floor]
+        values = edges + np.random.default_rng(14).uniform(size=50).tolist()
+        T = 45
+        for pi in values:
+            for direction in (models.LARGER, models.SMALLER):
+                scalar = oriented_probability(pi, direction)
+                array = oriented_probability(np.array([pi]), direction)
+                assert isinstance(scalar, float)
+                assert np.array([scalar]).tobytes() == array.tobytes()
+                for t in range(1, T + 1):
+                    tuned = tune_probability(scalar, t, T)
+                    assert isinstance(tuned, float)
+                    assert np.array([tuned]).tobytes() == tune_probability(array, t, T).tobytes()
+
+
+def reference_trial(design, model, prior, rng) -> TrialTrajectory:
+    """``simulate_trial`` as one validated ``update_posterior`` per subject.
+
+    The same stream order and the same ``superiority_probability``: one
+    allocation draw per block, then the outcomes in subject order.
+    """
+    sds = None
+    if isinstance(model.family, NormalKnownVar):
+        sds = (model.family.sd_control, model.family.sd_experimental)
+    T = design.num_blocks
+    er_labels = None if design.is_adaptive else _balanced_labels(design.total_n, rng)
+    state = initial_posterior(model.kind)
+    carry = trial_beta_carry(prior)
+    allocations, outcomes = [], []
+
+    def run_block(arms):
+        nonlocal state
+        ys = np.empty(arms.size, dtype=np.float64)
+        for i, arm in enumerate(arms):
+            ys[i] = sample_outcome(model, int(arm), rng)
+        for arm, y in zip(arms, ys):
+            state = update_posterior(state, int(arm), float(y))
+        allocations.append(arms)
+        outcomes.append(ys)
+
+    def probability():
+        return superiority_probability(
+            state.experimental, state.control, prior, model.better_direction, sds, carry
+        )
+
+    run_block(
+        er_labels[: design.burn_in] if er_labels is not None
+        else _balanced_labels(design.burn_in, rng)
+    )
+    probs = np.empty(T + 1, dtype=np.float64)
+    for t in range(1, T + 1):
+        pi = probability()
+        if design.is_tuned:
+            pi = tune_probability(pi, t, T)
+        probs[t - 1] = pi
+        if er_labels is not None:
+            start = design.burn_in + (t - 1) * design.block_size
+            arms = er_labels[start : start + design.block_size]
+        else:
+            arms = (rng.random(design.block_size) < pi).astype(np.int8)
+        run_block(arms)
+    probs[T] = probability()
+    return TrialTrajectory(tuple(allocations), tuple(outcomes), probs, state)
+
+
+REFERENCE_CASES = {
+    "exponential": (OutcomeModel(Exponential(1.0, 1.5)), GammaPrior(1.0, 0.001)),
+    "bernoulli": (OutcomeModel(Bernoulli(0.4, 0.6)), BetaPrior(1.0, 1.0)),
+    "bernoulli-jeffreys": (OutcomeModel(Bernoulli(0.4, 0.6), "smaller"), BetaPrior(0.5, 0.5)),
+    "normal": (OutcomeModel(NormalKnownVar(0.0, 0.5, 1.0, 1.5), "smaller"), NormalPrior(0.0, 100.0)),
+}
+
+
+class TestAgainstReferenceTrial:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    @pytest.mark.parametrize("kind", [StandardBRAR(), TunedBRAR(), EqualRandomization()],
+                             ids=["standard", "tuned", "er"])
+    @pytest.mark.parametrize("block_size", [1, 3])
+    def test_same_bits(self, case, kind, block_size):
+        model, prior = REFERENCE_CASES[case]
+        design = DesignConfig(36, 6, block_size, 30 // block_size, design=kind)
+        for seed in range(3):
+            got = simulate_trial(design, model, prior, derive_rng(seed, 14))
+            want = reference_trial(design, model, prior, derive_rng(seed, 14))
+            assert len(got.allocations) == len(want.allocations)
+            for x, y in zip(got.allocations, want.allocations):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            for x, y in zip(got.outcomes, want.outcomes):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            assert got.alloc_probs.tobytes() == want.alloc_probs.tobytes()
+            assert got.final_posteriors == want.final_posteriors
 
 
 def small_design(kind=StandardBRAR()):

@@ -56,17 +56,19 @@ class TestVectorizedSuperiority:
             assert vec[i] == gamma_superiority_vec(a1[i], b1[i], a0[i], b0[i])
 
     def test_beta_matches_scalar(self, rng):
-        al1 = rng.integers(1, 80, 300)
-        be1 = rng.integers(1, 80, 300)
-        al0 = rng.integers(1, 80, 300)
-        be0 = rng.integers(1, 80, 300)
-        table = special.gammaln(np.arange(0, 700, dtype=float))
-        vec = beta_superiority_vec(al1, be1, al0, be0, table)
-        for i in range(0, 300, 7):
-            scalar = beta_superiority_closed(
-                float(al1[i]), float(be1[i]), float(al0[i]), float(be0[i])
-            )
-            assert abs(vec[i] - scalar) < 1e-11
+        moderate = np.array([rng.integers(1, 80, 300) for _ in range(4)])
+        # parameters up to 1000 with one small integral parameter in a random
+        # slot: the scalar sum runs over it, the vector sum over the slot with
+        # the smallest maximum
+        lopsided = rng.integers(1, 1001, (4, 2000))
+        lopsided[rng.integers(0, 4, 2000), np.arange(2000)] = rng.integers(1, 12, 2000)
+        # every parameter 200..1000: the scalar sum carries hundreds of terms
+        long_sums = rng.integers(200, 1001, (4, 300))
+        table = special.gammaln(np.arange(0, 4010, dtype=float))
+        for params in (moderate, lopsided, long_sums):
+            vec = beta_superiority_vec(*params, table)
+            scalar = [beta_superiority_closed(*map(float, column)) for column in params.T]
+            assert np.abs(vec - scalar).max() < 1e-11
 
 
 class TestBetaCarry:
