@@ -143,13 +143,8 @@ def tune_probability(pi, t: int, num_blocks: int):
         return pi
     c = 0.1 + 0.9 * t / num_blocks
     num = np.power(pi, c)
-    if isinstance(pi, float):
-        # no array wrapping for one trial's float; np.power, not math.pow,
-        # whose last digit can differ from the array path's
-        return float(num / (num + np.power(1.0 - pi, c)))
-    den = num + np.power(1.0 - np.asarray(pi), c)
-    out = num / den
-    return float(out) if np.isscalar(pi) else out
+    out = num / (num + np.power(1.0 - pi, c))
+    return float(out) if isinstance(pi, float) else out
 
 
 def _balanced_labels(n: int, rng: np.random.Generator) -> np.ndarray:

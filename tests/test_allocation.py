@@ -8,9 +8,7 @@ from aptest.allocation import (
     DesignConfig,
     EqualRandomization,
     StandardBRAR,
-    TrialTrajectory,
     TunedBRAR,
-    _balanced_labels,
     simulate_trial,
     tune_probability,
 )
@@ -26,7 +24,6 @@ from aptest.models import (
     OutcomeModel,
     initial_posterior,
     oriented_probability,
-    sample_outcome,
     superiority_probability,
     trial_beta_carry,
     update_posterior,
@@ -84,7 +81,7 @@ class TestTuneProbability:
 
 
 class TestFloatBranches:
-    """A trial's float takes a branch of its own; it must keep the array bits."""
+    """A trial's float must give the same bits as a one-element array."""
 
     def test_float_equals_one_element_array(self):
         floor = models.PROB_FLOOR
@@ -103,82 +100,12 @@ class TestFloatBranches:
                     assert np.array([tuned]).tobytes() == tune_probability(array, t, T).tobytes()
 
 
-def reference_trial(design, model, prior, rng) -> TrialTrajectory:
-    """``simulate_trial`` as one validated ``update_posterior`` per subject.
-
-    The same stream order and the same ``superiority_probability``: one
-    allocation draw per block, then the outcomes in subject order.
-    """
-    sds = None
-    if isinstance(model.family, NormalKnownVar):
-        sds = (model.family.sd_control, model.family.sd_experimental)
-    T = design.num_blocks
-    er_labels = None if design.is_adaptive else _balanced_labels(design.total_n, rng)
-    state = initial_posterior(model.kind)
-    carry = trial_beta_carry(prior)
-    allocations, outcomes = [], []
-
-    def run_block(arms):
-        nonlocal state
-        ys = np.empty(arms.size, dtype=np.float64)
-        for i, arm in enumerate(arms):
-            ys[i] = sample_outcome(model, int(arm), rng)
-        for arm, y in zip(arms, ys):
-            state = update_posterior(state, int(arm), float(y))
-        allocations.append(arms)
-        outcomes.append(ys)
-
-    def probability():
-        return superiority_probability(
-            state.experimental, state.control, prior, model.better_direction, sds, carry
-        )
-
-    run_block(
-        er_labels[: design.burn_in] if er_labels is not None
-        else _balanced_labels(design.burn_in, rng)
-    )
-    probs = np.empty(T + 1, dtype=np.float64)
-    for t in range(1, T + 1):
-        pi = probability()
-        if design.is_tuned:
-            pi = tune_probability(pi, t, T)
-        probs[t - 1] = pi
-        if er_labels is not None:
-            start = design.burn_in + (t - 1) * design.block_size
-            arms = er_labels[start : start + design.block_size]
-        else:
-            arms = (rng.random(design.block_size) < pi).astype(np.int8)
-        run_block(arms)
-    probs[T] = probability()
-    return TrialTrajectory(tuple(allocations), tuple(outcomes), probs, state)
-
-
-REFERENCE_CASES = {
+REPLAY_CASES = {
     "exponential": (OutcomeModel(Exponential(1.0, 1.5)), GammaPrior(1.0, 0.001)),
     "bernoulli": (OutcomeModel(Bernoulli(0.4, 0.6)), BetaPrior(1.0, 1.0)),
     "bernoulli-jeffreys": (OutcomeModel(Bernoulli(0.4, 0.6), "smaller"), BetaPrior(0.5, 0.5)),
     "normal": (OutcomeModel(NormalKnownVar(0.0, 0.5, 1.0, 1.5), "smaller"), NormalPrior(0.0, 100.0)),
 }
-
-
-class TestAgainstReferenceTrial:
-    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
-    @pytest.mark.parametrize("kind", [StandardBRAR(), TunedBRAR(), EqualRandomization()],
-                             ids=["standard", "tuned", "er"])
-    @pytest.mark.parametrize("block_size", [1, 3])
-    def test_same_bits(self, case, kind, block_size):
-        model, prior = REFERENCE_CASES[case]
-        design = DesignConfig(36, 6, block_size, 30 // block_size, design=kind)
-        for seed in range(3):
-            got = simulate_trial(design, model, prior, derive_rng(seed, 14))
-            want = reference_trial(design, model, prior, derive_rng(seed, 14))
-            assert len(got.allocations) == len(want.allocations)
-            for x, y in zip(got.allocations, want.allocations):
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-            for x, y in zip(got.outcomes, want.outcomes):
-                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-            assert got.alloc_probs.tobytes() == want.alloc_probs.tobytes()
-            assert got.final_posteriors == want.final_posteriors
 
 
 def small_design(kind=StandardBRAR()):
@@ -224,21 +151,37 @@ class TestSimulateTrial:
         for x, y in zip(a.outcomes, b.outcomes):
             assert np.array_equal(x, y)
 
-    def test_no_look_ahead(self):
-        """Replaying the records up to block t reproduces pi_{t+1} exactly."""
-        design = small_design()
-        traj = simulate_trial(design, MODEL_EFFECT, PRIOR, derive_rng(11))
-        state = initial_posterior("exponential")
-        for t in range(design.num_blocks + 1):
-            # state now holds blocks 0..t-1; compare before absorbing block t
-            if t >= 1:
-                pi = superiority_probability(state.experimental, state.control, PRIOR)
-                assert pi == traj.prob(t)
-            for arm, y in zip(traj.allocations[t], traj.outcomes[t]):
-                state = update_posterior(state, int(arm), float(y))
-        final = superiority_probability(state.experimental, state.control, PRIOR)
-        assert final == traj.prob(design.num_blocks + 1)
-        assert state == traj.final_posteriors
+    @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+    @pytest.mark.parametrize("kind", [StandardBRAR(), TunedBRAR(), EqualRandomization()],
+                             ids=["standard", "tuned", "er"])
+    @pytest.mark.parametrize("block_size", [1, 3])
+    def test_no_look_ahead(self, case, kind, block_size):
+        """Replaying the records one validated update_posterior per subject
+        reproduces every pi_t and the final posteriors bit for bit."""
+        model, prior = REPLAY_CASES[case]
+        design = DesignConfig(36, 6, block_size, 30 // block_size, design=kind)
+        sds = None
+        if isinstance(model.family, NormalKnownVar):
+            sds = (model.family.sd_control, model.family.sd_experimental)
+        T = design.num_blocks
+        for seed in range(3):
+            traj = simulate_trial(design, model, prior, derive_rng(seed, 14))
+            state = initial_posterior(model.kind)
+            carry = trial_beta_carry(prior)
+            for t in range(T + 2):
+                # state now holds blocks 0..t-1; compare before absorbing block t
+                if t >= 1:
+                    pi = superiority_probability(
+                        state.experimental, state.control, prior,
+                        model.better_direction, sds, carry,
+                    )
+                    if design.is_tuned and t <= T:
+                        pi = tune_probability(pi, t, T)
+                    assert np.float64(pi).tobytes() == traj.alloc_probs[t - 1].tobytes()
+                if t <= T:
+                    for arm, y in zip(traj.allocations[t], traj.outcomes[t]):
+                        state = update_posterior(state, int(arm), float(y))
+            assert state == traj.final_posteriors
 
     def test_tuned_path_never_more_extreme(self):
         """Same seed: the tuned trajectory's recorded probabilities stay
