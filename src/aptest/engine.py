@@ -131,6 +131,9 @@ class _PosteriorVec:
         self.s0 = np.zeros(size, dtype=dtype)
         self._table: np.ndarray | None = None
         self._carry: BetaCarry | None = None
+        # (arm, outcome) of each replicate's one subject since the last
+        # superiority call, when absorb_one has just run
+        self._unit: tuple[np.ndarray, np.ndarray] | None = None
         if isinstance(prior, BetaPrior):
             if float(prior.alpha).is_integer() and float(prior.beta).is_integer():
                 # integer hyperparameters keep the posterior parameters integer
@@ -150,9 +153,11 @@ class _PosteriorVec:
 
         Beta posteriors step the chunk's carry from the previous call unless
         ``exact`` and the prior is integral, which takes the exact sum and
-        leaves the carry alone.
+        leaves the carry alone.  After ``absorb_one`` the carry takes one
+        unit step per replicate, picked by that subject's arm and outcome.
         """
         prior = self.prior
+        unit, self._unit = self._unit, None
         exp = ArmPosterior(self.n1, self.s1)
         ctrl = ArmPosterior(self.n0, self.s0)
         if isinstance(prior, GammaPrior):
@@ -163,6 +168,7 @@ class _PosteriorVec:
                 *beta_posterior(prior, ctrl),
                 self._table,
                 carry=None if exact and self._table is not None else self._carry,
+                unit=unit,
             )
         else:
             sd0, sd1 = self._sds
@@ -203,6 +209,13 @@ class _PosteriorVec:
         self.s0 += y - y1  # exactly y where k1 is 0 and 0 where it is 1
         self.n1 += k1
         self.n0 += 1 - k1
+        if self._carry is not None:
+            self._unit = (k1, y)
+
+    def check(self) -> None:
+        """Raise ValueError unless the beta carry's unit steps met the posteriors."""
+        if self._carry is not None:
+            self._carry.check()
 
 
 def _per_arm(control: float, experimental: float, k1: np.ndarray) -> np.ndarray:
@@ -274,6 +287,7 @@ def _simulate_chunk(
         # Hypothetical final block: untuned posterior probability from all data,
         # from the exact sum rather than the carried recurrence where one exists.
         record(post.superiority(exact=True), T + 1)
+        post.check()
     else:
         # equal randomization balances all N subjects; odd N leaves one to a coin
         n1 = np.full(size, design.total_n // 2, dtype=np.int64)

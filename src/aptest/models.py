@@ -16,7 +16,8 @@ The beta kernel's exact finite sum costs O(smallest parameter) per call, so
 re-summing it at every block makes a trial O(N^2).  Given a ``BetaCarry``,
 it instead carries P(X1 > X0) from call to call and moves it by Cook's
 (2005, "Exact calculation of beta inequalities") one-step recurrences,
-O(1) per new subject; the batched engine carries one per chunk.  The
+O(1) per new subject; the batched engine carries one per chunk, and at
+one subject per block tells it which parameter each element steps.  The
 recurrences hold for real parameters, and at a prior shared by both arms
 P(X1 > X0) is exactly 1/2, so a carry started at the prior
 (``beta_prior_carry``) reaches the beta posteriors that have no integer
@@ -346,7 +347,7 @@ def _beta_sup_sum(A1, B1, A0, B0, table) -> np.ndarray:
         )
         term = np.exp(log_term)
         if i > 0:
-            term = np.where(i < A1, term, 0.0)
+            term *= i < A1  # every term is finite, so this zeroes exactly the ones past A1
         out += term
     return out
 
@@ -386,12 +387,34 @@ class BetaCarry:
     g = B(a0+a1, b0+b1) / (B(a1, b1) B(a0, b0)).
     """
 
-    params: tuple[np.ndarray, ...] | None = None
+    #: rows a1, b1, a0, b0 of one (4, n) block, so that one flat index
+    #: picks each element's stepped parameter
+    params: np.ndarray | None = None
     h: np.ndarray | None = None
     log_g: np.ndarray | None = None
-    #: scratch arrays reused by every step: a fresh chunk-sized array costs a
+    #: (12, n) scratch reused by every step: a fresh chunk-sized array costs a
     #: page fault per 4 KiB on first touch, more than the arithmetic on it
-    work: tuple[np.ndarray, ...] = ()
+    work: np.ndarray | None = None
+    #: the parameters the last unit-step call was given, until ``check``
+    targets: tuple[np.ndarray, ...] | None = None
+
+    def check(self) -> None:
+        """Raise ValueError unless the last unit-step call's parameters were reached.
+
+        Unit steps (``beta_superiority_vec``'s ``unit``) take each element's
+        arm and outcome on trust, so a caller checks them once, after its
+        last call: a wrong step leaves a parameter a unit off for good.
+        """
+        targets, self.targets = self.targets, None
+        if targets is not None and any(
+            np.rint(t - p).any() for t, p in zip(targets, self.params)
+        ):
+            raise ValueError("beta superiority carry: unit steps missed the parameters")
+
+    def _scratch(self) -> np.ndarray:
+        if self.work is None:
+            self.work = np.empty((12, self.h.size))
+        return self.work
 
 
 def beta_prior_carry(alpha: float, beta: float, size: int) -> BetaCarry:
@@ -403,7 +426,7 @@ def beta_prior_carry(alpha: float, beta: float, size: int) -> BetaCarry:
     """
     log_g = special.betaln(2.0 * alpha, 2.0 * beta) - 2.0 * special.betaln(alpha, beta)
     return BetaCarry(
-        params=tuple(np.full(size, float(v)) for v in (alpha, beta, alpha, beta)),
+        params=np.tile(np.array([[alpha], [beta], [alpha], [beta]], dtype=np.float64), size),
         h=np.full(size, 0.5),
         log_g=np.full(size, log_g),
     )
@@ -414,24 +437,33 @@ def beta_prior_carry(alpha: float, beta: float, size: int) -> BetaCarry:
 #: r stays inside S**(+-32), which is finite for any total below 1e9.
 _FOLD_STEPS = 32
 
+#: A call steps the carry while its unit steps number at most this many
+#: times the exact sum's terms, and takes the exact sum past that.  On
+#: 16384 elements a unit step cost 150-170 us and a term, refill included,
+#: 290-300 us, with the same fixed cost per call (2-core VM, numpy 2.4).
+_STEPS_PER_TERM = 1.8
 
-def _beta_sup_step(carry: BetaCarry, targets) -> np.ndarray:
+
+def _beta_sup_step(carry: BetaCarry, targets, table) -> np.ndarray | None:
     # One unit increment at a time (Cook 2005), g taken before the step:
     #   a1 + 1: h += g/a1    b1 + 1: h -= g/b1
     #   a0 + 1: h -= g/a0    b0 + 1: h += g/b0
     # and g grows by (same-letter sum)(same-arm sum) / (total)(stepped
     # parameter).  g = exp(log g) * r: r is linear within a call and folded
     # into log g, so a long lopsided trial underflows no state, only terms
-    # far below the probability floor.
+    # far below the probability floor.  Returns None, stepping nothing, when
+    # ``table`` is given and the exact sum is the cheaper of the two.
     a1, b1, a0, b0 = params = carry.params
-    if not carry.work:
-        carry.work = tuple(np.empty(carry.h.shape) for _ in range(12))
-    *deltas, g0, r, m, mr, q, grow, other, total = carry.work
+    *deltas, g0, r, m, mr, q, grow, other, total = carry._scratch()
     for delta, target, par in zip(deltas, targets, params):
         # whole steps: a real parameter stepped by ones can sit an ulp off its target
         np.rint(np.subtract(target, par, out=delta), out=delta)
     if any((delta < 0).any() for delta in deltas):
         raise ValueError("beta superiority carry: parameters may only grow")
+    if table is not None and sum(int(delta.max()) for delta in deltas) > (
+        _STEPS_PER_TERM * min(int(target.max()) for target in targets)
+    ):
+        return None
     h = carry.h.copy()
     log_g = carry.log_g
     np.exp(log_g, out=g0)
@@ -471,6 +503,55 @@ def _beta_sup_step(carry: BetaCarry, targets) -> np.ndarray:
     return h
 
 
+#: The sign of h's move for a unit step of each of a1, b1, a0, b0.
+_UNIT_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def _beta_unit_step(carry: BetaCarry, k1, y) -> np.ndarray:
+    # Each element steps once, the parameter on row j = 2(1 - k1) + (1 - y)
+    # of params.  The stepped parameter p, and the product of its same-letter
+    # and same-arm sums, are gathered by one flat index, and the float
+    # operations are those of _beta_sup_step for an element with one step,
+    # in its order, so that both give the same bits: q = 1/p, h += +-g q,
+    # r = 1 + (L A / total q - 1), log g += log r, p += 1.
+    P = carry.params
+    n = P.shape[1]
+    a1, b1, a0, b0 = P
+    work = carry._scratch()
+    sums, products = work[:4], work[4:8]
+    p, q, grow, total = work[8:]
+    back = k1 + k1
+    back += y  # 3 - j
+    flat = back * -n
+    flat += np.arange(3 * n, 4 * n)  # j n + column
+    P.take(flat, out=p, mode="clip")  # in range by construction: skip the bounds check
+    np.divide(1.0, p, out=q)
+    np.exp(carry.log_g, out=grow)
+    grow *= q
+    grow *= _UNIT_SIGNS.take(back, mode="clip")  # the signs read the same both ways
+    h = carry.h + grow
+    letter_a, letter_b, arm_1, arm_0 = sums
+    np.add(a0, a1, out=letter_a)
+    np.add(letter_a, b0, out=total)
+    total += b1
+    np.add(b0, b1, out=letter_b)
+    np.add(a1, b1, out=arm_1)
+    np.add(a0, b0, out=arm_0)
+    np.multiply(letter_a, arm_1, out=products[0])
+    np.multiply(letter_b, arm_1, out=products[1])
+    np.multiply(letter_a, arm_0, out=products[2])
+    np.multiply(letter_b, arm_0, out=products[3])
+    r = products.take(flat, out=grow, mode="clip")
+    r /= total
+    r *= q
+    r -= 1.0
+    r += 1.0
+    carry.log_g += np.log(r, out=r)
+    p += 1.0
+    P.reshape(-1)[flat] = p
+    return h
+
+
 def _symmetric(a1, b1, a0, b0):
     # P(X1 > X0) is exactly 1/2 by symmetry for identical posteriors, and for
     # two posteriors that are each symmetric about 1/2
@@ -478,7 +559,7 @@ def _symmetric(a1, b1, a0, b0):
 
 
 def beta_superiority_vec(
-    al1, be1, al0, be0, table, carry: BetaCarry | None = None
+    al1, be1, al0, be0, table, carry: BetaCarry | None = None, unit=None
 ) -> np.ndarray:
     """P(X1 > X0) elementwise for beta posteriors.
 
@@ -487,19 +568,33 @@ def beta_superiority_vec(
     parameters, and ``table`` holding gammaln(0..M) for M beyond every
     parameter sum.  A filled ``carry`` is stepped from its last parameters
     to these, which may be real and may only grow by whole units, at O(1)
-    per unit increment, and ``table`` is not read; the result is then also
-    the carry's state, not to be modified in place.  Identical posteriors,
-    and pairs of posteriors that are each symmetric about 1/2, give exactly
-    0.5.
+    per unit increment; the result is then also the carry's state, not to
+    be modified in place.  Given ``table``, a call whose unit steps cost
+    more than the exact sum takes the sum and refills the carry; without
+    it the carry always steps.  Identical posteriors, and pairs of
+    posteriors that are each symmetric about 1/2, give exactly 0.5.
+
+    ``unit`` = (k1, y) says that each element gained exactly one subject
+    since the carry's last call, on arm k1 (1 experimental, 0 control) with
+    outcome y, so the carry steps each element once without comparing
+    parameters; ``BetaCarry.check`` then confirms the steps after the
+    caller's last call.
     """
+    targets = (al1, be1, al0, be0)
+    h = None
     if carry is not None and carry.h is not None:
-        h = _beta_sup_step(carry, (al1, be1, al0, be0))
-    else:
-        h = _beta_sup_exact(al1, be1, al0, be0, table)
+        if unit is not None:
+            h = _beta_unit_step(carry, *unit)
+            carry.targets = targets
+        else:
+            carry.check()
+            h = _beta_sup_step(carry, targets, table)
+    if h is None:
+        h = _beta_sup_exact(*targets, table)
         if carry is not None:
-            carry.params = tuple(np.array(p, dtype=np.float64) for p in (al1, be1, al0, be0))
-            carry.log_g = _beta_log_g(al1, be1, al0, be0, table)
-    h[_symmetric(al1, be1, al0, be0)] = 0.5  # the sums land either side of it
+            carry.params = np.array(targets, dtype=np.float64)
+            carry.log_g = _beta_log_g(*targets, table)
+    h[_symmetric(*targets)] = 0.5  # the sums land either side of it
     if carry is not None:
         carry.h = h
     return h
@@ -565,20 +660,29 @@ def trial_beta_carry(prior: PriorSpec) -> BetaCarry | None:
     return None
 
 
-def beta_superiority_closed(a1: float, b1: float, a0: float, b0: float) -> float:
+def _smallest_integral(a1: float, b1: float, a0: float, b0: float) -> float | None:
+    # the parameter the finite sum runs over, or None when none is integral
+    integral = [v for v in (a0, a1, b0, b1) if _is_integral(v)]
+    return min(integral) if integral else None
+
+
+def beta_superiority_closed(
+    a1: float, b1: float, a0: float, b0: float, low: float | None = None
+) -> float:
     """P(X1 > X0) for beta posteriors via the finite sum over an integer parameter.
 
     The scalar counterpart of ``beta_superiority_vec`` and the reference it is
     tested against; on a single element it is also the faster of the two.
     Any one of the four parameters being an integer suffices; the sum runs
     over the smallest integral one (mirroring x -> 1-x or swapping the arms
-    as needed).
+    as needed).  ``low`` is that parameter's value, for a caller that has
+    already looked for it.
     """
-    # ties go to the first of a0, a1, b0, b1
-    integral = [v for v in (a0, a1, b0, b1) if _is_integral(v)]
-    if not integral:
+    if low is None:
+        low = _smallest_integral(a1, b1, a0, b0)
+    if low is None:
         raise ConfigError("beta superiority closed form requires an integer parameter")
-    low = min(integral)
+    # ties go to the first of a0, a1, b0, b1
     if a0 == low:
         return 1.0 - _beta_superiority_core(a0, b0, a1, b1)
     if a1 == low:
@@ -648,7 +752,8 @@ def superiority_probability(
     elif isinstance(prior, BetaPrior):
         a1, b1 = beta_posterior(prior, post_exp)
         a0, b0 = beta_posterior(prior, post_ctrl)
-        if carry is None and not any(_is_integral(v) for v in (a1, a0, b0, b1)):
+        low = None if carry is not None else _smallest_integral(a1, b1, a0, b0)
+        if carry is None and low is None:
             carry = beta_prior_carry(prior.alpha, prior.beta, 1)  # no finite sum exists
         if carry is not None:
             params = (np.array([v], dtype=np.float64) for v in (a1, b1, a0, b0))
@@ -656,7 +761,7 @@ def superiority_probability(
         elif _symmetric(a1, b1, a0, b0):
             larger = 0.5
         else:
-            larger = beta_superiority_closed(a1, b1, a0, b0)
+            larger = beta_superiority_closed(a1, b1, a0, b0, low)
     elif isinstance(prior, NormalPrior):
         if sds is None:
             raise ConfigError("normal superiority requires known outcome sds")

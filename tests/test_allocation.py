@@ -242,9 +242,9 @@ class TestSimulateTrial:
         step = models._beta_sup_step
         steps = []
 
-        def counted(carry, targets):
+        def counted(carry, targets, table):
             steps.append(sum(int(np.rint(t - p).sum()) for t, p in zip(targets, carry.params)))
-            return step(carry, targets)
+            return step(carry, targets, table)
 
         monkeypatch.setattr(models, "_beta_sup_step", counted)
         design = DesignConfig(121, 12, 1, 109)

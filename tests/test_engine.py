@@ -1,6 +1,7 @@
 """Batched replication engine: correctness against the scalar path and
 determinism under chunking and process-level parallelism."""
 
+import hashlib
 import os
 import sys
 import threading
@@ -89,7 +90,7 @@ class TestBetaCarry:
         kernel = engine.beta_superiority_vec
         calls = []
 
-        def exact_only(*args, carry=None):
+        def exact_only(*args, carry=None, unit=None):
             calls.append(carry is not None)
             return kernel(*args)
 
@@ -127,6 +128,83 @@ class TestBetaCarry:
             else:
                 pi = post.superiority(exact=True)
             assert abs(pi[0] - traj.alloc_probs[t]) < 1e-12
+
+    @pytest.mark.parametrize("prior", [BetaPrior(1.0, 1.0), BetaPrior(0.5, 0.5)])
+    @pytest.mark.parametrize("block_size", [1, 3])
+    def test_unit_steps_follow_one_subject_blocks(self, monkeypatch, prior, block_size):
+        # at one subject per replicate the kernel hears each subject's arm
+        # and outcome; the first block follows the burn-in, and the final
+        # block under an integer prior takes the exact sum
+        kernel = engine.beta_superiority_vec
+        units = []
+
+        def spy(*args, carry=None, unit=None):
+            units.append(carry is not None and unit is not None)
+            return kernel(*args, carry=carry, unit=unit)
+
+        monkeypatch.setattr(engine, "beta_superiority_vec", spy)
+        T = 30 // block_size
+        design = DesignConfig(40, 10, block_size, T)
+        simulate_batch(design, OutcomeModel(Bernoulli(0.6, 0.8)), prior, (), 500, seed=2)
+        if block_size > 1:
+            assert units == [False] * (T + 1)
+        else:
+            real = not float(prior.alpha).is_integer()
+            assert units == [False] + [True] * (T - 1) + [real]
+
+    @pytest.mark.parametrize("prior", [BetaPrior(1.0, 1.0), BetaPrior(0.5, 0.5)])
+    def test_forged_subject_fails_the_chunk_check(self, monkeypatch, prior):
+        absorb_one = engine._PosteriorVec.absorb_one
+        blocks = []
+
+        def forged(self, k1, rng):
+            absorb_one(self, k1, rng)
+            blocks.append(None)
+            if len(blocks) == 7:  # one replicate's outcome reaches the kernel flipped
+                _, y = self._unit
+                y[0] = not y[0]
+
+        monkeypatch.setattr(engine._PosteriorVec, "absorb_one", forged)
+        design = DesignConfig(40, 10, 1, 30)
+        with pytest.raises(ValueError, match="unit steps missed"):
+            simulate_batch(design, OutcomeModel(Bernoulli(0.6, 0.8)), prior, (), 500, seed=2)
+
+
+class TestGoldenPin:
+    """SHA-256 of small Bernoulli batches: each statistic by name, then n_experimental.
+
+    A change meant to move these numerics updates the digests and says so.
+    """
+
+    DIGESTS = {
+        (1.0, 1, False): "67a7537c8cfcb800",
+        (1.0, 1, True): "a99c86013904c5c5",
+        (1.0, 3, False): "5fe23502d9c04002",
+        (1.0, 3, True): "87f6961972af8441",
+        (0.5, 1, False): "3d3eeb46a34f92d0",
+        (0.5, 1, True): "429b63959a4e480c",
+        (0.5, 3, False): "51cc6ad8467c2f51",
+        (0.5, 3, True): "632a9df4ec5103d4",
+    }
+
+    @pytest.mark.parametrize("prior_param, block_size, tuned", sorted(DIGESTS))
+    def test_statistics_keep_their_bytes(self, prior_param, block_size, tuned):
+        design = DesignConfig(
+            40, 10, block_size, 30 // block_size, design=TunedBRAR() if tuned else StandardBRAR()
+        )
+        tests = (
+            original_ap_test(), timedirect_ap_test(), lastblock_ap_test(),
+            ComparatorTest("fisher", "fisher"),
+        )
+        result = simulate_batch(
+            design, OutcomeModel(Bernoulli(0.6, 0.8)), BetaPrior(prior_param, prior_param),
+            tests, 2000, seed=7,
+        )
+        digest = hashlib.sha256()
+        for name in sorted(result.statistics):
+            digest.update(result.statistics[name].tobytes())
+        digest.update(result.n_experimental.tobytes())
+        assert digest.hexdigest()[:16] == self.DIGESTS[(prior_param, block_size, tuned)]
 
 
 class TestDeterminism:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special
 
+from aptest import models
 from aptest.engine import _PosteriorVec
 from aptest.models import (
     ArmPosterior,
@@ -186,7 +187,8 @@ def test_beta_carry_matches_exact_sum(path):
     params = start
     for step in steps:
         params = params + step
-        carried = beta_superiority_vec(*params, BETA_TABLE, carry=carry)
+        # no table: the carry steps however many units a call brings
+        carried = beta_superiority_vec(*params, None, carry=carry)
         exact = beta_superiority_vec(*params, BETA_TABLE)
         assert np.max(np.abs(carried - exact)) < 1e-11
         assert np.array_equal(carry.params, params)
@@ -201,7 +203,7 @@ def test_beta_carry_relative_accuracy_in_the_tail(path):
     params = start
     for step in steps:
         params = params + step
-        carried = beta_superiority_vec(*params, BETA_TABLE, carry=carry)
+        carried = beta_superiority_vec(*params, None, carry=carry)
     for i in range(params.shape[1]):
         oracle = float(exact_beta_superiority(*(int(v) for v in params[:, i])))
         assert abs(carried[i] - oracle) <= 1e-9 * oracle
@@ -229,21 +231,178 @@ def test_beta_carry_rejects_shrinking_parameters():
 def test_beta_carry_survives_long_lopsided_trials(per_call):
     # g = B(a0+a1, b0+b1) / (B(a1,b1) B(a0,b0)) falls to ~1e-900 here and must
     # come back once the arms meet again.  With 1500 unit steps in one call,
-    # the linear factor on g must be folded into log g along the way.
+    # the linear factor on g must be folded into log g along the way.  The
+    # carry starts at the prior and gets no table, so it never swaps its
+    # steps for the exact sum.
     table = special.gammaln(np.arange(8192, dtype=np.float64))
-    carry = BetaCarry()
+    carry = beta_prior_carry(1, 1, 1)
     params = np.array([[1], [1], [1], [1]])
-    beta_superiority_vec(*params, table, carry=carry)
     for step in ([1, 0, 0, 1], [0, 1, 1, 0]):
         for _ in range(1500 // per_call):
             params = params + per_call * np.array(step)[:, None]
-            beta_superiority_vec(*params, table, carry=carry)
+            beta_superiority_vec(*params, None, carry=carry)
     a1, b1, a0, b0 = (float(v) for v in params[:, 0])
     log_g = special.betaln(a0 + a1, b0 + b1) - special.betaln(a1, b1) - special.betaln(a0, b0)
     assert abs(carry.log_g[0] - log_g) < 1e-9
     params = params + np.array([[3], [0], [0], [0]])
-    carried = beta_superiority_vec(*params, table, carry=carry)
+    carried = beta_superiority_vec(*params, None, carry=carry)
     assert abs(carried[0] - beta_superiority_vec(*params, table)[0]) < 1e-11
+
+
+def test_beta_carry_takes_the_exact_sum_when_it_is_shorter(monkeypatch):
+    # After 260 subjects at p 0.95 against 0.05, a 40-subject block brings
+    # about 80 unit steps, and the exact sum runs over a parameter near 10.
+    exact = models._beta_sup_exact
+    sums = []
+
+    def counted(*args):
+        sums.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(models, "_beta_sup_exact", counted)
+    table = special.gammaln(np.arange(2048, dtype=np.float64))
+    rng = np.random.default_rng(8)
+    n = 400
+    start = np.stack([
+        rng.integers(100, 200, n), rng.integers(1, 10, n),
+        rng.integers(1, 10, n), rng.integers(100, 200, n),
+    ])
+    carry = BetaCarry()
+    beta_superiority_vec(*start, table, carry=carry)
+    # a block of one or two subjects: the carry steps
+    small = start + rng.integers(0, 2, (4, n))
+    sums.clear()
+    carried = beta_superiority_vec(*small, table, carry=carry)
+    assert not sums
+    assert np.max(np.abs(carried - exact(*small, table))) < 1e-11
+    # the 40-subject block: the exact sum, and the carry refilled from it
+    large = small + np.stack([
+        rng.integers(36, 41, n), rng.integers(0, 3, n),
+        rng.integers(0, 3, n), rng.integers(36, 41, n),
+    ])
+    summed = beta_superiority_vec(*large, table, carry=carry)
+    assert len(sums) == 1
+    assert np.array_equal(summed, beta_superiority_vec(*large, table))
+    assert np.array_equal(carry.params, large)
+    assert np.array_equal(carry.log_g, models._beta_log_g(*large, table))
+    # and the next small block steps again, from the refilled carry
+    sums.clear()
+    after = large + rng.integers(0, 2, (4, n))
+    carried = beta_superiority_vec(*after, table, carry=carry)
+    assert not sums
+    assert np.max(np.abs(carried - exact(*after, table))) < 1e-11
+    # without a table, as under a real prior, the carry always steps
+    carry = beta_prior_carry(1, 1, n)
+    sums.clear()
+    beta_superiority_vec(*large, None, carry=carry)
+    assert not sums
+
+
+# ---------------------------------------------------------------------------
+# One unit step per element: the engine's path at block size 1
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def unit_paths(draw):
+    """A prior, start counts (s1, f1, s0, f0) per element, and per-call (k1, y)."""
+    prior = draw(
+        st.one_of(
+            st.builds(BetaPrior, st.integers(1, 3), st.integers(1, 3)),
+            st.builds(BetaPrior, real_parameters, real_parameters),
+        )
+    )
+    n = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        # both arms alike, so symmetric states come up along the way
+        arm = draw(arrays(np.int64, (2, n), elements=st.integers(0, 20)))
+        counts = np.concatenate([arm, arm])
+    else:
+        counts = draw(arrays(np.int64, (4, n), elements=st.integers(0, 40)))
+    calls = draw(st.integers(1, 40))
+    # lopsided arms: allocation and success chances out to 0 and 1
+    chances = st.sampled_from((0.0, 0.1, 0.5, 0.9, 1.0))
+    p_arm, p_exp, p_ctrl = draw(chances), draw(chances), draw(chances)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k1 = (rng.random((calls, n)) < p_arm).astype(np.int64)
+    y = rng.random((calls, n)) < np.where(k1 == 1, p_exp, p_ctrl)
+    return prior, counts, k1, y
+
+
+def unit_step_pair(prior, start):
+    """Two equal filled carries at ``start``: from the exact sum or from the prior."""
+    pair = []
+    for _ in range(2):
+        if float(prior.alpha).is_integer() and float(prior.beta).is_integer():
+            carry = BetaCarry()
+            beta_superiority_vec(*start, BETA_TABLE, carry=carry)
+        else:
+            carry = beta_prior_carry(prior.alpha, prior.beta, start.shape[1])
+            beta_superiority_vec(*start, None, carry=carry)
+        pair.append(carry)
+    return pair
+
+
+def subjects_rows(k1, y):
+    """One-hot (4, n) increments of (a1, b1, a0, b0) for one subject per element."""
+    return (np.arange(4)[:, None] == 2 * (1 - k1) + (1 - y)).astype(np.int64)
+
+
+@given(unit_paths())
+def test_unit_steps_reproduce_the_masked_step(path):
+    prior, counts, k1s, ys = path
+    hyper = np.array([[prior.alpha], [prior.beta], [prior.alpha], [prior.beta]])
+    params = hyper + counts
+    masked, unit = unit_step_pair(prior, params)
+    for k1, y in zip(k1s, ys):
+        params = params + subjects_rows(k1, y)
+        # no table: the masked step never swaps itself for the exact sum
+        expected = beta_superiority_vec(*params, None, carry=masked)
+        got = beta_superiority_vec(*params, None, carry=unit, unit=(k1, y))
+        assert np.array_equal(got, expected)
+        assert np.array_equal(unit.log_g, masked.log_g)
+        assert np.array_equal(unit.params, masked.params)
+    unit.check()
+
+
+def test_unit_steps_reproduce_the_masked_step_over_a_long_lopsided_trial():
+    # 1500 subjects, one per call: successes on the experimental arm and
+    # failures on control take g to ~1e-450, and the other way round brings
+    # it back; the second element walks the mirror image
+    masked, unit = BetaCarry(), BetaCarry()
+    table = special.gammaln(np.arange(8192, dtype=np.float64))
+    params = np.ones((4, 2), dtype=np.int64)
+    beta_superiority_vec(*params, table, carry=masked)
+    beta_superiority_vec(*params, table, carry=unit)
+    for i in range(1500):
+        k1 = np.array([i % 2, 1 - i % 2])
+        y = k1 == 1 if i < 750 else k1 == 0
+        params = params + subjects_rows(k1, y)
+        expected = beta_superiority_vec(*params, None, carry=masked)
+        got = beta_superiority_vec(*params, None, carry=unit, unit=(k1, y))
+        assert np.array_equal(got, expected)
+        assert np.array_equal(unit.log_g, masked.log_g)
+    unit.check()
+    a1, b1, a0, b0 = (float(v) for v in params[:, 0])
+    log_g = special.betaln(a0 + a1, b0 + b1) - special.betaln(a1, b1) - special.betaln(a0, b0)
+    assert abs(unit.log_g[0] - log_g) < 1e-9
+    assert np.max(np.abs(got - beta_superiority_vec(*params, table))) < 1e-11
+
+
+def test_forged_unit_step_fails_the_check():
+    carry = BetaCarry()
+    params = np.array([[3, 4], [5, 6], [7, 8], [9, 10]])
+    beta_superiority_vec(*params, BETA_TABLE, carry=carry)
+    k1, y = np.array([1, 0]), np.array([True, False])
+    # the first element's subject was in fact a failure
+    params = params + subjects_rows(k1, np.array([False, False]))
+    beta_superiority_vec(*params, None, carry=carry, unit=(k1, y))
+    with pytest.raises(ValueError, match="unit steps missed"):
+        carry.check()
+    # a later call without ``unit`` checks first, too
+    beta_superiority_vec(*params, None, carry=carry, unit=(k1, y))
+    with pytest.raises(ValueError, match="unit steps missed"):
+        beta_superiority_vec(*params, None, carry=carry)
 
 
 # ---------------------------------------------------------------------------
