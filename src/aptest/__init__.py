@@ -55,7 +55,6 @@ from .harness import (  # noqa: E402
     TestEntry,
     patient_benefit,
     run_scenario,
-    sample_size_sweep,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

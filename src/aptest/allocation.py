@@ -24,7 +24,7 @@ from .models import (
     OutcomeModel,
     PosteriorState,
     PriorSpec,
-    prior_matches_family,
+    check_prior_family,
     sample_outcome,
     superiority_probability,
     trial_beta_carry,
@@ -174,10 +174,7 @@ def simulate_trial(
     Within a block the random stream is consumed as: allocation draws
     (one batch), then outcomes in subject order.
     """
-    if not prior_matches_family(prior, model.kind):
-        raise ConfigError(
-            f"prior {type(prior).__name__} does not match outcome family {model.kind}"
-        )
+    check_prior_family(prior, model.kind)
     sds = None
     if isinstance(model.family, NormalKnownVar):
         sds = (model.family.sd_control, model.family.sd_experimental)

@@ -41,12 +41,13 @@ from .models import (
     beta_posterior,
     beta_prior_carry,
     beta_superiority_vec,
+    check_prior_family,
     gamma_posterior,
     gamma_superiority_vec,
+    is_integral,
     normal_posterior,
     normal_superiority_vec,
     oriented_probability,
-    prior_matches_family,
 )
 from .stats import (
     APTestSpec,
@@ -90,10 +91,7 @@ def validate_battery(
     design: DesignConfig, model: OutcomeModel, prior: PriorSpec, tests: tuple[TestSpec, ...]
 ) -> None:
     """Raise ConfigError unless the engine can simulate this design, prior and battery."""
-    if not prior_matches_family(prior, model.kind):
-        raise ConfigError(
-            f"prior {type(prior).__name__} does not match outcome family {model.kind}"
-        )
+    check_prior_family(prior, model.kind)
     names = [t.name for t in tests]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate test names in battery: {names}")
@@ -135,7 +133,7 @@ class _PosteriorVec:
         # superiority call, when absorb_one has just run
         self._unit: tuple[np.ndarray, np.ndarray] | None = None
         if isinstance(prior, BetaPrior):
-            if float(prior.alpha).is_integer() and float(prior.beta).is_integer():
+            if is_integral(prior.alpha) and is_integral(prior.beta):
                 # integer hyperparameters keep the posterior parameters integer
                 # arrays, which index the log-gamma table of the exact sum
                 self.prior = BetaPrior(int(prior.alpha), int(prior.beta))

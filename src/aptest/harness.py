@@ -426,13 +426,6 @@ def sweep_scenarios(template: ScenarioSpec, n_grid: tuple[int, ...]) -> tuple[Sc
     )
 
 
-def sample_size_sweep(
-    template: ScenarioSpec, n_grid: tuple[int, ...], threads: int = 1
-) -> list[PerformanceReport]:
-    """Run the template over a sample-size grid (see ``sweep_scenarios``)."""
-    return [run_scenario(spec, threads=threads) for spec in sweep_scenarios(template, n_grid)]
-
-
 # ---------------------------------------------------------------------------
 # Delimited export
 # ---------------------------------------------------------------------------

@@ -12,12 +12,17 @@ It is computed in closed form for every gamma and normal posterior and for
 beta posteriors with an integer parameter.  The elementwise kernels here
 serve both the single-trial path and the batched engine.
 
-The beta kernel's exact finite sum costs O(smallest parameter) per call, so
-re-summing it at every block makes a trial O(N^2).  Given a ``BetaCarry``,
-it instead carries P(X1 > X0) from call to call and moves it by Cook's
-(2005, "Exact calculation of beta inequalities") one-step recurrences,
-O(1) per new subject; the batched engine carries one per chunk, and at
-one subject per block tells it which parameter each element steps.  The
+The beta kernel's exact finite sum is a hypergeometric tail (Altham 1969):
+swapping a1 with b0, or b1 with a0, keeps it, and swapping the arms gives
+1 - P.  Each element is summed on one member of that class, picked from
+its own parameters, over its smallest one, so states equal by the swaps
+read equal bits whatever shares the array.  It costs O(smallest
+parameter) per call, so re-summing it at every block makes a trial O(N^2).
+Given a ``BetaCarry``, the kernel instead carries P(X1 > X0) from call to
+call and moves it by Cook's (2005, "Exact calculation of beta
+inequalities") one-step recurrences, O(1) per new subject, with bits that
+depend on the path; the batched engine carries one per chunk, and at one
+subject per block tells it which parameter each element steps.  The
 recurrences hold for real parameters, and at a prior shared by both arms
 P(X1 > X0) is exactly 1/2, so a carry started at the prior
 (``beta_prior_carry``) reaches the beta posteriors that have no integer
@@ -191,12 +196,14 @@ class NormalPrior:
 PriorSpec = Union[GammaPrior, BetaPrior, NormalPrior]
 
 
-def prior_matches_family(prior: PriorSpec, kind: str) -> bool:
-    return (
-        (isinstance(prior, GammaPrior) and kind == "exponential")
-        or (isinstance(prior, BetaPrior) and kind == "bernoulli")
-        or (isinstance(prior, NormalPrior) and kind == "normal")
-    )
+#: The conjugate prior type of each outcome family.
+_CONJUGATE = {"exponential": GammaPrior, "bernoulli": BetaPrior, "normal": NormalPrior}
+
+
+def check_prior_family(prior: PriorSpec, kind: str) -> None:
+    """Raise ConfigError unless ``prior`` is the conjugate prior of outcome family ``kind``."""
+    if not isinstance(prior, _CONJUGATE.get(kind, ())):
+        raise ConfigError(f"prior {type(prior).__name__} does not match outcome family {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +360,17 @@ def _beta_sup_sum(A1, B1, A0, B0, table) -> np.ndarray:
 
 
 def _beta_sup_exact(al1, be1, al0, be0, table) -> np.ndarray:
-    # sums over whichever parameter keeps the loop shortest, mirroring
-    # x -> 1 - x or swapping arms as needed
-    spans = (int(al1.max()), int(al0.max()), int(be0.max()), int(be1.max()))
-    variant = int(np.argmin(spans))
-    if variant == 0:
-        return _beta_sup_sum(al1, be1, al0, be0, table)
-    if variant == 1:
-        return 1.0 - _beta_sup_sum(al0, be0, al1, be1, table)
-    if variant == 2:
-        return _beta_sup_sum(be0, al0, be1, al1, table)
-    return 1.0 - _beta_sup_sum(be1, al1, be0, al0, table)
+    # the canonical member (module docstring): the arms swap unless the pair
+    # (a1, b0) holds the smallest parameter, then each pair puts its smaller
+    # value first, in a1 and b1.  A sum near 1 carries the table's rounding,
+    # about 1e-12, so it is capped at 1 to keep it and 1 - it in [0, 1].
+    low1, low0 = np.minimum(al1, be0), np.minimum(al0, be1)
+    high1, high0 = np.maximum(al1, be0), np.maximum(al0, be1)
+    swap = low1 > low0
+    a0, b0 = np.where(swap, high1, high0), np.where(swap, high0, high1)
+    h = _beta_sup_sum(np.minimum(low1, low0), np.maximum(low1, low0), a0, b0, table)
+    np.minimum(h, 1.0, out=h)
+    return np.where(swap, 1.0 - h, h)
 
 
 def _beta_log_g(al1, be1, al0, be0, table) -> np.ndarray:
@@ -564,12 +571,13 @@ def beta_superiority_vec(
     """P(X1 > X0) elementwise for beta posteriors.
 
     Without ``carry`` (or with an empty one) the value is the exact finite
-    sum, whose cost grows with the smallest parameter; it needs integer
-    parameters, and ``table`` holding gammaln(0..M) for M beyond every
-    parameter sum.  A filled ``carry`` is stepped from its last parameters
-    to these, which may be real and may only grow by whole units, at O(1)
-    per unit increment; the result is then also the carry's state, not to
-    be modified in place.  Given ``table``, a call whose unit steps cost
+    sum, a function of each element's own parameters, whose cost grows
+    with the smallest parameter; it needs integer parameters, and
+    ``table`` holding gammaln(0..M) for M beyond every parameter sum.  A
+    filled ``carry`` is stepped from its last parameters to these, which
+    may be real and may only grow by whole units, at O(1) per unit
+    increment; the result is then also the carry's state, not to be
+    modified in place.  Given ``table``, a call whose unit steps cost
     more than the exact sum takes the sum and refills the carry; without
     it the carry always steps.  Identical posteriors, and pairs of
     posteriors that are each symmetric about 1/2, give exactly 0.5.
@@ -627,8 +635,9 @@ def oriented_probability(larger, direction: str):
     return np.minimum(np.maximum(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
 
 
-def _is_integral(x: float) -> bool:
-    return abs(x - round(x)) < 1e-9
+def is_integral(x: float) -> bool:
+    """Whether a beta parameter is a whole number, so that a finite sum over it exists."""
+    return float(x).is_integer()
 
 
 def _beta_superiority_core(a1: float, b1: float, a0: float, b0: float) -> float:
@@ -654,7 +663,7 @@ def trial_beta_carry(prior: PriorSpec) -> BetaCarry | None:
     call would make a trial O(N^2) unit steps.
     """
     if isinstance(prior, BetaPrior) and not (
-        _is_integral(prior.alpha) or _is_integral(prior.beta)
+        is_integral(prior.alpha) or is_integral(prior.beta)
     ):
         return beta_prior_carry(prior.alpha, prior.beta, 1)
     return None
@@ -662,7 +671,7 @@ def trial_beta_carry(prior: PriorSpec) -> BetaCarry | None:
 
 def _smallest_integral(a1: float, b1: float, a0: float, b0: float) -> float | None:
     # the parameter the finite sum runs over, or None when none is integral
-    integral = [v for v in (a0, a1, b0, b1) if _is_integral(v)]
+    integral = [v for v in (a0, a1, b0, b1) if is_integral(v)]
     return min(integral) if integral else None
 
 

@@ -199,6 +199,15 @@ class ComparatorResult(NamedTuple):
     degenerate: bool
 
 
+def _upper_normal_tail(stat, degenerate) -> ComparatorResult:
+    # one trial's statistic with its upper standard-normal tail as p-value;
+    # a degenerate trial is a flagged non-rejection
+    if bool(degenerate):
+        return ComparatorResult(-math.inf, 1.0, True)
+    stat = float(stat)
+    return ComparatorResult(stat, float(special.ndtr(-stat)), False)
+
+
 def lr_exponential_from_counts(n1, s1, n0, s0):
     """Signed-root likelihood-ratio statistic for two exponential samples.
 
@@ -239,10 +248,7 @@ def lr_exponential(traj: TrialTrajectory) -> ComparatorResult:
         post.control.n,
         post.control.total,
     )
-    stat = float(stat)
-    if bool(degenerate):
-        return ComparatorResult(-math.inf, 1.0, True)
-    return ComparatorResult(stat, float(special.ndtr(-stat)), False)
+    return _upper_normal_tail(stat, degenerate)
 
 
 def fisher_exact_one_sided(n1: int, s1: int, n0: int, s0: int) -> float:
@@ -348,10 +354,7 @@ def z_test_normal(traj: TrialTrajectory, sd0: float, sd1: float) -> ComparatorRe
         sd0,
         sd1,
     )
-    z = float(z)
-    if bool(degenerate):
-        return ComparatorResult(-math.inf, 1.0, True)
-    return ComparatorResult(z, float(special.ndtr(-z)), False)
+    return _upper_normal_tail(z, degenerate)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from aptest.harness import (
     TestEntry,
     patient_benefit,
     run_scenario,
-    sample_size_sweep,
+    sweep_scenarios,
 )
 from aptest.models import (
     ArmPosterior,
@@ -289,7 +289,7 @@ def test_criterion_5_type1_curve_shape():
         seed=SEED,
     )
     grid = (100, 200, 500, 1000)
-    reports = sample_size_sweep(template, grid)
+    reports = [run_scenario(spec) for spec in sweep_scenarios(template, grid)]
     checks = []
     rates = []
     for n, report in zip(grid, reports):

@@ -59,8 +59,7 @@ class TestVectorizedSuperiority:
     def test_beta_matches_scalar(self, rng):
         moderate = np.array([rng.integers(1, 80, 300) for _ in range(4)])
         # parameters up to 1000 with one small integral parameter in a random
-        # slot: the scalar sum runs over it, the vector sum over the slot with
-        # the smallest maximum
+        # slot: both sums run over it
         lopsided = rng.integers(1, 1001, (4, 2000))
         lopsided[rng.integers(0, 4, 2000), np.arange(2000)] = rng.integers(1, 12, 2000)
         # every parameter 200..1000: the scalar sum carries hundreds of terms
@@ -70,6 +69,17 @@ class TestVectorizedSuperiority:
             vec = beta_superiority_vec(*params, table)
             scalar = [beta_superiority_closed(*map(float, column)) for column in params.T]
             assert np.abs(vec - scalar).max() < 1e-11
+
+    def test_beta_stays_inside_the_unit_interval(self, rng):
+        # near-certain states at N = 1000, many summed directly over hundreds
+        # of terms whose rounding reaches 1e-12, and the same with arms swapped
+        n1 = rng.binomial(1000, rng.uniform(0.2, 0.8, 4000))
+        y1, y0 = rng.binomial(n1, 0.9), rng.binomial(1000 - n1, 0.7)
+        better = (1 + y1, 1 + n1 - y1, 1 + y0, 1001 - n1 - y0)
+        table = special.gammaln(np.arange(4100, dtype=float))
+        for params in (better, better[2:] + better[:2]):
+            p = beta_superiority_vec(*params, table)
+            assert np.all((p >= 0.0) & (p <= 1.0))
 
 
 class TestBetaCarry:
@@ -177,10 +187,10 @@ class TestGoldenPin:
     """
 
     DIGESTS = {
-        (1.0, 1, False): "67a7537c8cfcb800",
-        (1.0, 1, True): "a99c86013904c5c5",
-        (1.0, 3, False): "5fe23502d9c04002",
-        (1.0, 3, True): "87f6961972af8441",
+        (1.0, 1, False): "6b175b221d838ca0",
+        (1.0, 1, True): "fd53f8be15a39e55",
+        (1.0, 3, False): "f7daf6661a490b9e",
+        (1.0, 3, True): "c127b0af5eccfc8f",
         (0.5, 1, False): "3d3eeb46a34f92d0",
         (0.5, 1, True): "429b63959a4e480c",
         (0.5, 3, False): "51cc6ad8467c2f51",
@@ -205,6 +215,47 @@ class TestGoldenPin:
             digest.update(result.statistics[name].tobytes())
         digest.update(result.n_experimental.tobytes())
         assert digest.hexdigest()[:16] == self.DIGESTS[(prior_param, block_size, tuned)]
+
+
+class TestLastBlockTies:
+    """Block T+1 under an integer prior is the exact sum: a function of the final state."""
+
+    @pytest.mark.parametrize("replicates", [CHUNK_SIZE + 5, CHUNK_SIZE + 1696])
+    @pytest.mark.parametrize("prior", [BetaPrior(1.0, 1.0), BetaPrior(2.0, 3.0)])
+    @pytest.mark.parametrize("block_size", [1, 3])
+    def test_equal_final_states_carry_equal_bits(self, monkeypatch, replicates, prior, block_size):
+        # chunks of different sizes hold different parameter ranges, so a
+        # summing order chosen per chunk would split ties between them
+        finals = []
+        check = engine._PosteriorVec.check
+
+        def capture(self):
+            finals.append(np.stack([self.s1, self.n1 - self.s1, self.s0, self.n0 - self.s0]))
+            check(self)
+
+        monkeypatch.setattr(engine._PosteriorVec, "check", capture)
+        design = DesignConfig(40, 10, block_size, 30 // block_size)
+        batch = simulate_batch(
+            design, OutcomeModel(Bernoulli(0.5, 0.5)), prior, (lastblock_ap_test(),),
+            replicates, seed=4,
+        )
+        a1, b1, a0, b0 = np.concatenate(finals, axis=1) + np.array(
+            [prior.alpha, prior.beta, prior.alpha, prior.beta]
+        )[:, None].astype(np.int64)
+        # swapping a1 with b0, or b1 with a0, keeps P(X1 > X0)
+        key = np.stack([
+            np.minimum(a1, b0), np.maximum(a1, b0), np.minimum(a0, b1), np.maximum(a0, b1)
+        ])
+        classes, cls = np.unique(key, axis=1, return_inverse=True)
+        cls = cls.ravel()
+        lastblock = batch.statistics["lastblock"]
+        low = np.full(classes.shape[1], np.inf)
+        high = np.full(classes.shape[1], -np.inf)
+        np.minimum.at(low, cls, lastblock)
+        np.maximum.at(high, cls, lastblock)
+        assert np.count_nonzero(low != high) == 0
+        # some classes hold distinct states, which the swaps must not tell apart
+        assert classes.shape[1] < np.unique(np.stack([a1, b1, a0, b0]), axis=1).shape[1]
 
 
 class TestDeterminism:

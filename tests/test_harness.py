@@ -22,7 +22,7 @@ from aptest.harness import (
     model_label,
     patient_benefit,
     run_scenario,
-    sample_size_sweep,
+    sweep_scenarios,
 )
 from aptest.models import Bernoulli, BetaPrior, Exponential, GammaPrior, OutcomeModel
 from aptest.stats import (
@@ -258,7 +258,7 @@ class TestSweeps:
             replicates_eval=2000,
             replicates_calib=2000,
         )
-        reports = sample_size_sweep(template, (20, 30), threads=1)
+        reports = [run_scenario(spec) for spec in sweep_scenarios(template, (20, 30))]
         assert [r.rows[0].total_n for r in reports] == [20, 30]
         for r in reports:
             assert all(row.param_control == row.param_experimental for row in r.rows)
@@ -270,7 +270,7 @@ class TestSweeps:
             replicates_eval=2000,
             replicates_calib=5000,
         )
-        reports = sample_size_sweep(template, (20, 40), threads=1)
+        reports = [run_scenario(spec) for spec in sweep_scenarios(template, (20, 40))]
         powers = [r.rejection_rate("exponential(1,1.8)", "lastblock") for r in reports]
         assert len(powers) == 2
         assert powers[1] > powers[0] - 3 * 0.011  # non-decreasing within MC noise
@@ -293,7 +293,7 @@ class TestSweeps:
             replicates_calib=500,
         )
         with pytest.raises(ConfigError, match="custom weight vector"):
-            sample_size_sweep(template, (20, 30))
+            [run_scenario(spec) for spec in sweep_scenarios(template, (20, 30))]
         assert calls == []
 
 

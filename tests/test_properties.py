@@ -166,6 +166,31 @@ def exact_beta_superiority(a1: int, b1: int, a0: int, b0: int) -> Fraction:
     )
 
 
+@given(
+    st.tuples(*[st.integers(1, 60)] * 4),
+    arrays(np.int64, st.tuples(st.just(4), st.integers(1, 12)), elements=st.integers(1, 120)),
+    st.integers(0, 12),
+)
+def test_exact_beta_sum_is_a_function_of_each_state(state, neighbours, position):
+    # The neighbours mix larger and smaller parameters in every slot, so no
+    # choice made from the whole array could serve each element alike.
+    a1, b1, a0, b0 = state
+
+    def exact(*params):
+        return beta_superiority_vec(*(np.array([v]) for v in params), BETA_TABLE)[0]
+
+    p = exact(a1, b1, a0, b0)
+    column = np.array(state)[:, None]
+    position = min(position, neighbours.shape[1])
+    mixed = np.concatenate([neighbours[:, :position], column, neighbours[:, position:]], axis=1)
+    assert beta_superiority_vec(*mixed, BETA_TABLE)[position] == p
+    # a hypergeometric tail: swapping b1 with a0, or a1 with b0, keeps the value
+    assert exact(a1, a0, b1, b0) == p
+    assert exact(b0, b1, a0, a1) == p
+    assert abs(p - (1.0 - exact(a0, b0, a1, b1))) <= 1e-12
+    assert abs(p - float(exact_beta_superiority(a1, b1, a0, b0))) <= 1e-11
+
+
 @st.composite
 def carried_paths(draw, start_ranges, max_step):
     """Start parameters (4, n) and per-call increments (calls, 4, n)."""
