@@ -135,7 +135,8 @@ class _PosteriorVec:
         if isinstance(prior, BetaPrior):
             if is_integral(prior.alpha) and is_integral(prior.beta):
                 # integer hyperparameters keep the posterior parameters integer
-                # arrays, which index the log-gamma table of the exact sum
+                # arrays; the table gives the carry its log g when the exact
+                # sum refills it, and marks the path that may take that sum
                 self.prior = BetaPrior(int(prior.alpha), int(prior.beta))
                 top = 2 * (self.prior.alpha + self.prior.beta) + 4 * max_n + 16
                 self._table = special.gammaln(np.arange(top, dtype=np.float64))

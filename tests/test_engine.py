@@ -187,10 +187,10 @@ class TestGoldenPin:
     """
 
     DIGESTS = {
-        (1.0, 1, False): "6b175b221d838ca0",
-        (1.0, 1, True): "fd53f8be15a39e55",
-        (1.0, 3, False): "f7daf6661a490b9e",
-        (1.0, 3, True): "c127b0af5eccfc8f",
+        (1.0, 1, False): "429b3cbcdd35c47c",
+        (1.0, 1, True): "c03c54e288a35fea",
+        (1.0, 3, False): "461e23a206ab1c3b",
+        (1.0, 3, True): "4c3c8036aa525fda",
         (0.5, 1, False): "3d3eeb46a34f92d0",
         (0.5, 1, True): "429b63959a4e480c",
         (0.5, 3, False): "51cc6ad8467c2f51",

@@ -44,7 +44,15 @@ def quadrature_gamma_superiority(a1, b1, a0, b0):
 def quadrature_beta_superiority(a1, b1, a0, b0):
     d1 = stats.beta(a1, b1)
     d0 = stats.beta(a0, b0)
-    val, _ = integrate.quad(lambda x: d1.pdf(x) * d0.cdf(x), 0.0, 1.0, limit=300)
+    val, err = integrate.quad(
+        lambda x: d1.pdf(x) * d0.cdf(x), 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=300
+    )
+    # quad stops at its default tolerance of 1.5e-8, so the tight one makes
+    # its error estimate a bound worth reading; below 1 a density is
+    # unbounded at an end of [0, 1], where quad misses by up to 1e-6 and
+    # its estimate says so
+    if err > 1e-11:
+        raise ValueError(f"beta quadrature oracle: error estimate {err:.1e} at {a1, b1, a0, b0}")
     return val
 
 
@@ -218,6 +226,13 @@ class TestBetaSuperiority:
             b0 = int(rng.integers(1, 60))
             closed = beta_superiority_closed(a1, b1, a0, b0)
             assert abs(closed - quadrature_beta_superiority(a1, b1, a0, b0)) < 1e-8
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_quadrature_oracle_refuses_unbounded_densities(self):
+        # exactly 1/2 by symmetry, but a parameter below 1 leaves quad 1.4e-10 off
+        # at the oracle's tolerances (estimate 1.4e-10), 4.4e-10 at quad's defaults
+        with pytest.raises(ValueError, match="error estimate"):
+            quadrature_beta_superiority(0.5, 0.25, 0.5, 0.25)
 
     def test_variant_selection_consistency(self):
         # the four summation routes must agree wherever several apply

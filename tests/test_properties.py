@@ -16,6 +16,7 @@ from scipy import special
 
 from aptest import models
 from aptest.engine import _PosteriorVec
+from aptest.errors import ConfigError
 from aptest.models import (
     ArmPosterior,
     Bernoulli,
@@ -191,6 +192,32 @@ def test_exact_beta_sum_is_a_function_of_each_state(state, neighbours, position)
     assert abs(p - float(exact_beta_superiority(a1, b1, a0, b0))) <= 1e-11
 
 
+def test_exact_beta_sum_matches_exact_rationals():
+    # the error on the smaller of P and 1 - P, so that neither side of a
+    # near-certain state hides in the other's rounding
+    rng = np.random.default_rng(19)
+    states = rng.integers(1, 121, (4, 1000))
+    p = beta_superiority_vec(*states, BETA_TABLE)
+    for i in range(states.shape[1]):
+        oracle = exact_beta_superiority(*(int(v) for v in states[:, i]))
+        small, computed = (oracle, p[i]) if oracle <= 0.5 else (1 - oracle, 1.0 - p[i])
+        if small >= 1e-4:
+            assert abs(computed - float(small)) <= 5e-12 * float(small)
+    # final states of N = 1000 trials at 0.7 against 0.9, where P(X1 > X0)
+    # lies within 1e-12 of 1 and a sum of the near-certain side overshoots
+    n1 = rng.binomial(1000, rng.uniform(0.2, 0.8, 4096))
+    y1, y0 = rng.binomial(n1, 0.9), rng.binomial(1000 - n1, 0.7)
+    table = special.gammaln(np.arange(4096, dtype=np.float64))
+    p = beta_superiority_vec(1 + y1, 1 + n1 - y1, 1 + y0, 1001 - n1 - y0, table)
+    assert np.all((p >= 0.0) & (p <= 1.0))
+
+
+def test_exact_beta_sum_refuses_non_integer_parameters():
+    one = np.array([1.0])
+    with pytest.raises(ConfigError, match="integer"):
+        beta_superiority_vec(np.array([1.5]), np.array([2.0]), one, one, BETA_TABLE)
+
+
 @st.composite
 def carried_paths(draw, start_ranges, max_step):
     """Start parameters (4, n) and per-call increments (calls, 4, n)."""
@@ -299,7 +326,7 @@ def test_beta_carry_takes_the_exact_sum_when_it_is_shorter(monkeypatch):
     sums.clear()
     carried = beta_superiority_vec(*small, table, carry=carry)
     assert not sums
-    assert np.max(np.abs(carried - exact(*small, table))) < 1e-11
+    assert np.max(np.abs(carried - exact(*small))) < 1e-11
     # the 40-subject block: the exact sum, and the carry refilled from it
     large = small + np.stack([
         rng.integers(36, 41, n), rng.integers(0, 3, n),
@@ -315,7 +342,7 @@ def test_beta_carry_takes_the_exact_sum_when_it_is_shorter(monkeypatch):
     after = large + rng.integers(0, 2, (4, n))
     carried = beta_superiority_vec(*after, table, carry=carry)
     assert not sums
-    assert np.max(np.abs(carried - exact(*after, table))) < 1e-11
+    assert np.max(np.abs(carried - exact(*after))) < 1e-11
     # without a table, as under a real prior, the carry always steps
     carry = beta_prior_carry(1, 1, n)
     sums.clear()
