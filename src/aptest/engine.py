@@ -44,7 +44,6 @@ from .models import (
     check_prior_family,
     gamma_posterior,
     gamma_superiority_vec,
-    is_integral,
     normal_posterior,
     normal_superiority_vec,
     oriented_probability,
@@ -133,7 +132,7 @@ class _PosteriorVec:
         # superiority call, when absorb_one has just run
         self._unit: tuple[np.ndarray, np.ndarray] | None = None
         if isinstance(prior, BetaPrior):
-            if is_integral(prior.alpha) and is_integral(prior.beta):
+            if prior.integral:
                 # integer hyperparameters keep the posterior parameters integer
                 # arrays; the table gives the carry its log g when the exact
                 # sum refills it, and marks the path that may take that sum

@@ -8,28 +8,22 @@ trial is summarized by per-arm counts and sufficient statistics.
 
 The quantity that drives response-adaptive allocation is the posterior
 probability that the experimental arm's parameter beats the control arm's.
-It is computed in closed form for every gamma and normal posterior and for
-beta posteriors with an integer parameter.  The elementwise kernels here
-serve both the single-trial path and the batched engine.
+The kernels here serve both the single-trial path and the batched engine.
 
 For integer parameters the beta kernel's exact finite sum is a
 hypergeometric tail (Altham 1969): P(X1 > X0) = P(A >= a0) for the 2x2
 table with n1 = a0 + a1 - 1, s1 = a0, n0 = b0 + b1 - 1 and s0 = b0 - 1.
-``hypergeom_upper_tail``, the Fisher comparator's kernel too, sums it and
-needs no log-gamma table from the caller.  The 2x2 table's transpose is
-the a1 <-> b0 swap and its 180-degree rotation the b1 <-> a0 swap, so
-summing each element on its class's canonical member makes states equal
-by those swaps read equal bits whatever shares the array.  It costs up to
-O(N) terms per call, so re-summing it at every block makes a trial O(N^2).
-Given a ``BetaCarry``, the kernel instead carries P(X1 > X0) from call to
-call and moves it by Cook's (2005, "Exact calculation of beta
-inequalities") one-step recurrences, O(1) per new subject, with bits that
-depend on the path; the batched engine carries one per chunk, and at one
-subject per block tells it which parameter each element steps.  The
-recurrences hold for real parameters, and at a prior shared by both arms
-P(X1 > X0) is exactly 1/2, so a carry started at the prior
-(``beta_prior_carry``) reaches the beta posteriors that have no integer
-parameter, for which no finite sum exists.
+``hypergeom_upper_tail``, the Fisher comparator's kernel too, sums it on
+each table's canonical member, so states equal under the a1 <-> b0 and
+b1 <-> a0 swaps read equal bits; ``beta_superiority_scalar`` is the same
+sum on one element, with the same bits.  It costs up to O(N) terms per
+call, so re-summing it at every block makes a trial O(N^2).  Given a
+``BetaCarry``, the kernel instead carries P(X1 > X0) from call to call and
+moves it by Cook's (2005, "Exact calculation of beta inequalities")
+one-step recurrences, O(1) per new subject, with bits that depend on the
+path.  The recurrences hold for real parameters, and at a prior shared by
+both arms P(X1 > X0) is exactly 1/2, so a carry started at the prior
+(``beta_prior_carry``) reaches posteriors for which no finite sum exists.
 """
 
 from __future__ import annotations
@@ -182,6 +176,11 @@ class BetaPrior:
     def __post_init__(self) -> None:
         if self.alpha <= 0 or self.beta <= 0:
             raise ConfigError("beta prior parameters must be strictly positive")
+
+    @property
+    def integral(self) -> bool:
+        """Whether both parameters are whole: otherwise every path steps a carry."""
+        return is_integral(self.alpha) and is_integral(self.beta)
 
 
 @dataclass(frozen=True)
@@ -423,6 +422,48 @@ def _beta_sup_exact(al1, be1, al0, be0) -> np.ndarray:
     return hypergeom_upper_tail(al0 + al1 - 1, al0, be0 + be1 - 1, be0 - 1)
 
 
+def beta_superiority_scalar(a1: float, b1: float, a0: float, b0: float) -> float:
+    """``_beta_sup_exact`` on one element of whole parameters, with its bits.
+
+    ``hypergeom_upper_tail``'s operations in its order, on Python numbers
+    (whole floats below 2**53 count exactly, as ints do); its ``exp`` is
+    ``np.exp``, which rounds as the kernel's array loop does (``math.exp``
+    may not).  The loop stops at this element's own convergence: terms only
+    shrink, so no later one can change the tail.
+    """
+    total, k, n, a = a0 + a1 + b0 + b1 - 2, a0 + b0 - 1, a0 + a1 - 1, a0
+    n, k = min(n, k), max(n, k)
+    if total - k < n:
+        n, k, a = total - k, total - n, a + total - k - n
+    low = a * (total + 2) <= (n + 1) * (k + 1)
+    if a == max(0, n + k - total):
+        return 1.0 if low else 0.0  # an empty tail
+    k, start = (total - k, n - a + 1) if low else (k, a)
+    c = total - k - n
+    lg = special.gammaln  # log(i!) = lg(i + 1), entry i of the kernel's table
+    term = float(np.exp(
+        lg(k + 1.0) - lg(start + 1.0) - lg(k - start + 1.0)
+        + lg(total - k + 1.0) - lg(n - start + 1.0) - lg(c + start + 1.0)
+        - lg(total + 1.0) + lg(n + 1.0) + lg(total - n + 1.0)
+    ))
+    tail = term
+    j = float(start)
+    num = (k - j) * (n - j)
+    num_step = k + n - 2.0 * j - 1.0
+    den = (j + 1.0) * (c + j + 1.0)
+    den_step = c + 2.0 * j + 3.0
+    for _ in range(int(min(n, k) - start)):
+        term = term * num / den
+        tail += term
+        if term * 2.0**54 <= tail:
+            break
+        num -= num_step
+        num_step -= 2.0
+        den += den_step
+        den_step += 2.0
+    return 1.0 - tail if low else tail
+
+
 def _beta_log_g(al1, be1, al0, be0, table) -> np.ndarray:
     # log g = log B(a0+a1, b0+b1) - log B(a1, b1) - log B(a0, b0)
     T = table
@@ -496,14 +537,11 @@ _FOLD_STEPS = 32
 
 #: A call steps the carry while its unit steps number at most this many
 #: times the exact sum's terms, and takes the exact sum past that.  The
-#: factor priced the earlier sum over the smallest parameter (a term cost
-#: 290-300 us on 16384 elements, a unit step 150-170 us), which
-#: ``hypergeom_upper_tail`` replaced.  That sum stops at terms that no
-#: longer count: on 16384 elements (2-core VM, numpy 2.4) it cost 3-6 ms
-#: at N = 12-1000, refill included, and a masked unit step 0.17-0.25 ms.
-#: On six B > 1 Bernoulli chunks this factor chose within 1.04-1.39 times
-#: the better of always stepping and always summing; a rule that prices
-#: the new sum awaits a timed B > 1 Bernoulli workload.
+#: factor priced an earlier sum (a term 290-300 us on 16384 elements, a unit
+#: step 150-170 us); ``hypergeom_upper_tail`` stops early, at 3-6 ms per
+#: 16384 elements for N = 12-1000 with refill (2-core VM, numpy 2.4), and on
+#: six B > 1 Bernoulli chunks the factor chose within 1.04-1.39 times the
+#: better of always stepping and always summing.
 _STEPS_PER_TERM = 1.8
 
 
@@ -634,11 +672,10 @@ def beta_superiority_vec(
     units, at O(1) per unit increment; the result is then also the carry's
     state, not to be modified in place.  ``table``, gammaln(0..M) for M
     beyond every parameter sum, gives the carry its log g when the exact
-    sum fills it (the sum, ``hypergeom_upper_tail``, builds its own
-    log-factorial table per call); given ``table``, a call whose unit
-    steps cost more than the exact sum takes the sum and refills the
-    carry, and without it the carry always steps.  Identical posteriors, and pairs of posteriors
-    that are each symmetric about 1/2, give exactly 0.5.
+    sum fills it; given ``table``, a call whose unit steps cost more than
+    the exact sum takes the sum and refills the carry, and without it the
+    carry always steps.  Identical posteriors, and pairs of posteriors that
+    are each symmetric about 1/2, give exactly 0.5.
 
     ``unit`` = (k1, y) says that each element gained exactly one subject
     since the carry's last call, on arm k1 (1 experimental, 0 control) with
@@ -698,75 +735,42 @@ def is_integral(x: float) -> bool:
     return float(x).is_integer()
 
 
-def _beta_superiority_core(a1: float, b1: float, a0: float, b0: float) -> float:
-    # P(X1 > X0) for X1 ~ Beta(a1, b1), X0 ~ Beta(a0, b0); requires a1 integer.
-    # Term i of the sum is B(a0+i, b0+b1) / ((b1+i) B(1+i, b1) B(a0, b0)):
-    # term 0 is B(a0, b0+b1) / B(a0, b0), and each next term is the last
-    # times (a0+i)(b1+i) / ((a0+b0+b1+i)(i+1)).  Terms are carried in logs,
-    # because the first can fall below the double range.
-    log_term = float(special.betaln(a0, b0 + b1) - special.betaln(a0, b0))
-    params_sum = a0 + b0 + b1
-    total = 0.0
-    for i in range(int(round(a1))):
-        total += math.exp(log_term)
-        log_term += math.log((a0 + i) * (b1 + i) / ((params_sum + i) * (i + 1)))
-    return total
-
-
 def trial_beta_carry(prior: PriorSpec) -> BetaCarry | None:
     """The one-element carry a single trial steps block by block, or None.
 
-    Only a beta prior with no integral parameter needs one: its posteriors
-    have no finite sum, and a carry restarted from the prior at every
-    call would make a trial O(N^2) unit steps.
+    As in the engine, a beta prior that is not ``integral`` needs one: a carry
+    restarted from the prior at every call would cost O(N^2) unit steps.
     """
-    if isinstance(prior, BetaPrior) and not (
-        is_integral(prior.alpha) or is_integral(prior.beta)
-    ):
+    if isinstance(prior, BetaPrior) and not prior.integral:
         return beta_prior_carry(prior.alpha, prior.beta, 1)
     return None
 
 
-def _smallest_integral(a1: float, b1: float, a0: float, b0: float) -> float | None:
-    # the parameter the finite sum runs over, or None when none is integral
-    integral = [v for v in (a0, a1, b0, b1) if is_integral(v)]
-    return min(integral) if integral else None
-
-
-def beta_superiority_closed(
-    a1: float, b1: float, a0: float, b0: float, low: float | None = None
-) -> float:
-    """P(X1 > X0) for beta posteriors via the finite sum over an integer parameter.
-
-    The scalar counterpart of ``beta_superiority_vec`` and the reference it is
-    tested against; on a single element it is also the faster of the two.
-    Any one of the four parameters being an integer suffices; the sum runs
-    over the smallest integral one (mirroring x -> 1-x or swapping the arms
-    as needed).  ``low`` is that parameter's value, for a caller that has
-    already looked for it.
-    """
-    if low is None:
-        low = _smallest_integral(a1, b1, a0, b0)
-    if low is None:
-        raise ConfigError("beta superiority closed form requires an integer parameter")
-    # ties go to the first of a0, a1, b0, b1
-    if a0 == low:
-        return 1.0 - _beta_superiority_core(a0, b0, a1, b1)
-    if a1 == low:
-        return _beta_superiority_core(a1, b1, a0, b0)
-    if b0 == low:
-        # X1 > X0  <=>  (1-X0) > (1-X1), with 1-X ~ Beta(b, a)
-        return _beta_superiority_core(b0, a0, b1, a1)
-    return 1.0 - _beta_superiority_core(b1, a1, b0, a0)
+def _beta_carry_to(prior: BetaPrior, params, totals, carry) -> BetaCarry:
+    # A one-element carry whose whole unit steps reach params: the caller's if the
+    # counts are whole, else one with the smallest integral parameter at 1 (one
+    # ratio of beta functions there), else the prior's, which whole counts reach
+    whole = [i for i, v in enumerate(params) if is_integral(v)]
+    if all(map(is_integral, totals)) and (carry is not None or not whole):
+        return carry or beta_prior_carry(prior.alpha, prior.beta, 1)
+    if not whole:
+        raise DataError("Bernoulli success counts must be whole numbers")
+    i = min(whole, key=params.__getitem__)
+    a1, b1, a0, b0 = seed = [1.0 if j == i else float(v) for j, v in enumerate(params)]
+    # P(X1 > X0) at a1, b1, a0, b0 = 1: E[(1 - X0)^b1], 1 - E[X0^a1], 1 - E[(1 - X1)^b0], E[X1^a0]
+    x, y, base = ((a0, b0 + b1, (a0, b0)), (a0 + a1, b0, (a0, b0)),
+                  (a1, b1 + b0, (a1, b1)), (a1 + a0, b1, (a1, b1)))[i]
+    h = math.exp(special.betaln(x, y) - special.betaln(*base))
+    log_g = special.betaln(a0 + a1, b0 + b1) - special.betaln(a1, b1) - special.betaln(a0, b0)
+    h = np.array([1.0 - h if i in (1, 2) else h])
+    return BetaCarry(np.array(seed)[:, None], h, np.array([log_g]))
 
 
 def _quadrature_superiority(dist_exp, dist_ctrl) -> float:
     """Integral of pdf_exp(x) * cdf_ctrl(x) over a bracketing of both supports.
 
-    Nothing in the package calls it: beta posteriors with no integer
-    parameter step a carry from the prior instead.  Its one reader is the
-    benchmark's tracer (``perfbench/tracing.py``), which wraps the name to
-    count quadrature calls; it goes once that wrap does.
+    Uncalled: its one reader is the benchmark's tracer (``perfbench/tracing.py``),
+    which wraps the name to count quadrature calls; it goes once that wrap does.
     """
     from scipy import integrate  # loaded on first use: most runs never integrate
 
@@ -800,13 +804,13 @@ def superiority_probability(
     """Posterior probability that the experimental arm's parameter is better.
 
     Gamma and normal posteriors use their closed forms for any parameters.
-    A beta posterior steps ``carry``, a filled one-element ``BetaCarry``
-    (``trial_beta_carry``), from its last call to these posteriors by
-    Cook's recurrences, one step per new subject; without a carry it uses
-    the finite sum when a parameter is an integer, and otherwise steps a
-    fresh carry from the prior.  Symmetric beta pairs give exactly 0.5, as
-    in ``beta_superiority_vec``.  For the normal family ``sds`` must supply
-    the known (control, experimental) outcome standard deviations.
+    Beta posteriors with four whole parameters take the engine's exact sum
+    with its bits.  Others step ``carry``, a filled one-element ``BetaCarry``
+    (``trial_beta_carry``), by Cook's recurrences from its last call, or a
+    fresh carry if there is none or a success count is not whole.  Symmetric
+    beta pairs give exactly 0.5, as in ``beta_superiority_vec``.  For the
+    normal family ``sds`` must supply the known (control, experimental)
+    outcome standard deviations.
 
     The returned value is clamped to the open interval (0, 1).
     """
@@ -817,18 +821,13 @@ def superiority_probability(
             raise DataError("gamma posterior rate is not positive")
         larger = gamma_superiority_vec(a1, b1, a0, b0)
     elif isinstance(prior, BetaPrior):
-        a1, b1 = beta_posterior(prior, post_exp)
-        a0, b0 = beta_posterior(prior, post_ctrl)
-        low = None if carry is not None else _smallest_integral(a1, b1, a0, b0)
-        if carry is None and low is None:
-            carry = beta_prior_carry(prior.alpha, prior.beta, 1)  # no finite sum exists
-        if carry is not None:
-            params = (np.array([v], dtype=np.float64) for v in (a1, b1, a0, b0))
-            larger = float(beta_superiority_vec(*params, None, carry=carry)[0])
-        elif _symmetric(a1, b1, a0, b0):
-            larger = 0.5
+        params = (*beta_posterior(prior, post_exp), *beta_posterior(prior, post_ctrl))
+        if all(map(is_integral, params)):
+            larger = 0.5 if _symmetric(*params) else beta_superiority_scalar(*params)
         else:
-            larger = beta_superiority_closed(a1, b1, a0, b0, low)
+            carry = _beta_carry_to(prior, params, (post_exp.total, post_ctrl.total), carry)
+            targets = (np.array([v], dtype=np.float64) for v in params)
+            larger = float(beta_superiority_vec(*targets, None, carry=carry)[0])
     elif isinstance(prior, NormalPrior):
         if sds is None:
             raise ConfigError("normal superiority requires known outcome sds")

@@ -41,7 +41,6 @@ from aptest.models import (
     NormalKnownVar,
     NormalPrior,
     OutcomeModel,
-    beta_superiority_closed,
     gamma_superiority_vec,
     superiority_probability,
 )
@@ -53,6 +52,7 @@ from aptest.stats import (
     original_ap_test,
     timedirect_ap_test,
 )
+from tests.beta_oracle import beta_superiority_closed
 from tests.test_models import (
     quadrature_beta_superiority,
     quadrature_gamma_superiority,

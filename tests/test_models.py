@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from aptest import models
 from aptest.errors import ConfigError, DataError, NumericalError
 from aptest.models import (
     ArmPosterior,
@@ -21,14 +22,16 @@ from aptest.models import (
     NormalKnownVar,
     NormalPrior,
     OutcomeModel,
-    beta_superiority_closed,
+    beta_posterior,
     beta_superiority_vec,
     gamma_superiority_vec,
     initial_posterior,
     sample_outcome,
     superiority_probability,
+    trial_beta_carry,
     update_posterior,
 )
+from tests.beta_oracle import beta_superiority_closed
 
 
 def quadrature_gamma_superiority(a1, b1, a0, b0):
@@ -243,6 +246,42 @@ class TestBetaSuperiority:
             mirrored = beta_superiority_closed(b0, a0, b1, a1)
             assert abs(direct - swapped) < 1e-12
             assert abs(direct - mirrored) < 1e-12
+
+    # the term-ratio sum reads 0.6127929687500002 and 0.5000000230772002 under
+    # Beta(1, 1), and 0.62304687 under Jeffreys' prior, where a trial carry
+    # that rounds 2.5 successes to 2 whole steps read 0.61711085
+    @pytest.mark.parametrize(
+        "prior, total",
+        [(BetaPrior(1.0, 1.0), 2.5), (BetaPrior(1.0, 1.0), 2.0000001), (BetaPrior(0.5, 0.5), 2.5)],
+    )
+    def test_non_whole_success_count_steps_a_carry(self, monkeypatch, prior, total):
+        # ArmPosterior does not check that a success count is whole.  Cast to
+        # integers, (3.0000001, 3.9999999) against (3, 4) reads 0.6082, not
+        # 0.5000000231, so such a posterior must take a carry that reaches it.
+        def whole_only(*params):
+            raise AssertionError(f"the exact sum was given {params}")
+
+        monkeypatch.setattr(models, "beta_superiority_scalar", whole_only)
+        exp, ctrl = ArmPosterior(5, total), ArmPosterior(5, 2.0)
+        params = (*beta_posterior(prior, exp), *beta_posterior(prior, ctrl))
+        p = superiority_probability(exp, ctrl, prior, carry=trial_beta_carry(prior))
+        assert abs(p - beta_superiority_closed(*params)) < 1e-12
+
+    @pytest.mark.parametrize("prior", [BetaPrior(1.0, 1.0), BetaPrior(0.5, 0.5)])
+    def test_non_whole_success_counts_that_no_carry_reaches_raise(self, prior):
+        # no parameter is integral, and whole steps from the prior reach none
+        exp, ctrl = ArmPosterior(5, 2.3), ArmPosterior(5, 2.7)
+        with pytest.raises(DataError, match="whole"):
+            superiority_probability(exp, ctrl, prior, carry=trial_beta_carry(prior))
+
+    @pytest.mark.parametrize(
+        "prior, integral",
+        [(BetaPrior(1.0, 2.0), True), (BetaPrior(1.0, 0.5), False), (BetaPrior(0.5, 0.5), False)],
+    )
+    def test_a_trial_carries_unless_both_prior_parameters_are_whole(self, prior, integral):
+        # the engine reads the same property
+        assert prior.integral is integral
+        assert (trial_beta_carry(prior) is None) is integral
 
     def test_symmetric_posteriors_give_exactly_half(self):
         # P(X1 > X0) = 1/2 exactly for identical posteriors and for two

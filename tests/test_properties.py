@@ -9,7 +9,7 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import special
@@ -29,11 +29,12 @@ from aptest.models import (
     OutcomeModel,
     beta_posterior,
     beta_prior_carry,
-    beta_superiority_closed,
+    beta_superiority_scalar,
     beta_superiority_vec,
     superiority_probability,
 )
 from aptest.stats import fisher_exact_one_sided, fisher_statistic_from_counts
+from tests.beta_oracle import beta_superiority_closed
 from tests.test_models import quadrature_beta_superiority, quadrature_gamma_superiority
 
 directions = st.sampled_from(("larger", "smaller"))
@@ -210,6 +211,31 @@ def test_exact_beta_sum_matches_exact_rationals():
     table = special.gammaln(np.arange(4096, dtype=np.float64))
     p = beta_superiority_vec(1 + y1, 1 + n1 - y1, 1 + y0, 1001 - n1 - y0, table)
     assert np.all((p >= 0.0) & (p <= 1.0))
+
+
+@st.composite
+def integer_beta_states(draw, max_n=5000):
+    """(a1, b1, a0, b0) after up to max_n subjects under a prior with parameters 1..3."""
+    n1 = draw(st.integers(0, max_n))
+    n0 = draw(st.integers(0, max_n - n1))
+    s1, s0 = draw(st.integers(0, n1)), draw(st.integers(0, n0))
+    alpha, beta = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return alpha + s1, beta + n1 - s1, alpha + s0, beta + n0 - s0
+
+
+@given(st.lists(integer_beta_states(), min_size=1, max_size=6))
+@example([(1, 3000, 2000, 1), (2500, 2500, 1, 1)])  # the upper and the lower tail
+@example([(1200, 1300, 1200, 1300), (40, 40, 7, 7)])  # symmetric: the sums land near 1/2
+# b1 = 0 or a0 = 0, point masses at 1 and at 0: P = 1 from an empty tail,
+# beside a long sum that keeps the kernel's loop running past them
+@example([(30, 0, 5, 9), (30, 9, 0, 5), (4000, 2, 900, 7)])
+def test_scalar_beta_sum_has_the_kernel_bits(states):
+    # each element of the kernel's array keeps summing until every element
+    # has converged, and the scalar stops at its own convergence
+    kernel = models._beta_sup_exact(*np.array(states).T)
+    for state, p in zip(states, kernel):
+        assert beta_superiority_scalar(*state) == p
+        assert beta_superiority_scalar(*map(float, state)) == p
 
 
 def test_exact_beta_sum_refuses_non_integer_parameters():
