@@ -14,9 +14,8 @@ import dataclasses
 import functools
 import logging
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import closing
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -284,45 +283,31 @@ def run_scenario(spec: ScenarioSpec, threads: int = 1) -> PerformanceReport:
             spec.replicates_eval,
         )
     roles = spec.roles()
+    # every batch call, in the serial order: each role's calibration, then each cell
+    calls = []
+    for role, design, entries in roles:
+        to_calibrate = tuple(e.spec for e in entries if e.mode == CALIBRATED)
+        if to_calibrate:
+            null = NullSpec(design, spec.null_model, spec.prior, spec.replicates_calib, spec.seed)
+            calls.append(functools.partial(
+                calibrate, null, to_calibrate, spec.alpha, threads=threads, stream=(role,)
+            ))
+    n_calibrations = len(calls)
+    cells = []
+    for mi, model in enumerate(spec.model_grid()):
+        for role, design, entries in roles:
+            cells.append((model, design, entries))
+            calls.append(functools.partial(
+                simulate_batch, design, model, spec.prior, tuple(e.spec for e in entries),
+                spec.replicates_eval, spec.seed, stream=(STREAM_EVALUATION, role, mi),
+                threads=threads,
+            ))
     critical_values: dict[str, CriticalValue] = {}
     rows: list[ReportRow] = []
-    with _batch_calls(threads) as submit:
-        calibrations = []
-        for role, design, entries in roles:
-            to_calibrate = tuple(e.spec for e in entries if e.mode == CALIBRATED)
-            if not to_calibrate:
-                continue
-            null = NullSpec(
-                design=design,
-                model=spec.null_model,
-                prior=spec.prior,
-                replicates=spec.replicates_calib,
-                seed=spec.seed,
-            )
-            calibrations.append(
-                submit(calibrate, null, to_calibrate, spec.alpha, threads=threads, stream=(role,))
-            )
-        cells = deque()
-        for mi, model in enumerate(spec.model_grid()):
-            for role, design, entries in roles:
-                pending = submit(
-                    simulate_batch,
-                    design,
-                    model,
-                    spec.prior,
-                    tuple(e.spec for e in entries),
-                    spec.replicates_eval,
-                    spec.seed,
-                    stream=(STREAM_EVALUATION, role, mi),
-                    threads=threads,
-                )
-                cells.append((model, design, entries, pending))
-        for calibration in calibrations:
-            critical_values.update(calibration.result())
-        while cells:
-            # popped, so each batch is freed once its rows are made
-            model, design, entries, pending = cells.popleft()
-            batch = pending.result()
+    with closing(_results_in_order(calls, threads)) as results:
+        for _ in range(n_calibrations):
+            critical_values.update(next(results))
+        for (model, design, entries), batch in zip(cells, results):
             cell_benefit = patient_benefit(batch, model, design)
             for e in entries:
                 if e.mode == CALIBRATED:
@@ -369,37 +354,26 @@ def run_scenario(spec: ScenarioSpec, threads: int = 1) -> PerformanceReport:
     )
 
 
-class _Deferred:
-    """A call made when its result is read: the one-thread stand-in for a future."""
+def _results_in_order(calls, threads: int):
+    """Yield each call's result in list order.
 
-    def __init__(self, fn, *args, **kwargs):
-        self._call = functools.partial(fn, *args, **kwargs)
-
-    def result(self):
-        return self._call()
-
-
-@contextmanager
-def _batch_calls(threads: int):
-    """Yield ``submit(fn, *args, **kwargs)`` for a scenario's batch calls.
-
-    At one thread a call runs when its result is read, so calls run in the
-    order results are read.  At more, calls run at once on threads that only
-    wait for the engine's shared pool: no more threads than the pool has
-    workers, started after the pool so that no worker is forked from a
-    multi-threaded process.  On an error, calls not yet started are dropped.
+    At one thread a call runs when its result is read, so no batch is made
+    before the reader needs it.  At more, calls run at once on threads that
+    only wait for the engine's shared pool: no more threads than the pool
+    has workers, started after the pool so that no worker is forked from a
+    multi-threaded process.  On an error, or when the reader closes this
+    generator, calls not yet started are dropped.
     """
     if threads == 1:
-        yield _Deferred
+        for call in calls:
+            yield call()
         return
     shared_pool(threads)
-    calls = ThreadPoolExecutor(max_workers=pool_workers(threads))
+    pool = ThreadPoolExecutor(max_workers=pool_workers(threads))
     try:
-        yield calls.submit
-    except BaseException:
-        calls.shutdown(cancel_futures=True)
-        raise
-    calls.shutdown()
+        yield from pool.map(lambda call: call(), calls)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _reported_outcome(b: BenefitSummary, model: OutcomeModel) -> float:

@@ -15,8 +15,8 @@ hypergeometric tail (Altham 1969): P(X1 > X0) = P(A >= a0) for the 2x2
 table with n1 = a0 + a1 - 1, s1 = a0, n0 = b0 + b1 - 1 and s0 = b0 - 1.
 ``hypergeom_upper_tail``, the Fisher comparator's kernel too, sums it on
 each table's canonical member, so states equal under the a1 <-> b0 and
-b1 <-> a0 swaps read equal bits; ``beta_superiority_scalar`` is the same
-sum on one element, with the same bits.  It costs up to O(N) terms per
+b1 <-> a0 swaps read equal bits; ``hypergeom_upper_tail_scalar`` is the
+same sum on one table, with the same bits.  It costs up to O(N) terms per
 call, so re-summing it at every block makes a trial O(N^2).  Given a
 ``BetaCarry``, the kernel instead carries P(X1 > X0) from call to call and
 moves it by Cook's (2005, "Exact calculation of beta inequalities")
@@ -422,16 +422,16 @@ def _beta_sup_exact(al1, be1, al0, be0) -> np.ndarray:
     return hypergeom_upper_tail(al0 + al1 - 1, al0, be0 + be1 - 1, be0 - 1)
 
 
-def beta_superiority_scalar(a1: float, b1: float, a0: float, b0: float) -> float:
-    """``_beta_sup_exact`` on one element of whole parameters, with its bits.
+def hypergeom_upper_tail_scalar(n1, s1, n0, s0) -> float:
+    """``hypergeom_upper_tail`` on one table, with its bits.
 
-    ``hypergeom_upper_tail``'s operations in its order, on Python numbers
-    (whole floats below 2**53 count exactly, as ints do); its ``exp`` is
-    ``np.exp``, which rounds as the kernel's array loop does (``math.exp``
-    may not).  The loop stops at this element's own convergence: terms only
-    shrink, so no later one can change the tail.
+    The kernel's operations in its order, on Python numbers (whole floats
+    below 2**53 count exactly, as ints do); its ``exp`` is ``np.exp``,
+    which rounds as the kernel's array loop does (``math.exp`` may not).
+    The loop stops at this table's own convergence: terms only shrink, so
+    no later one can change the tail.
     """
-    total, k, n, a = a0 + a1 + b0 + b1 - 2, a0 + b0 - 1, a0 + a1 - 1, a0
+    total, k, n, a = n1 + n0, s1 + s0, n1, s1
     n, k = min(n, k), max(n, k)
     if total - k < n:
         n, k, a = total - k, total - n, a + total - k - n
@@ -823,7 +823,11 @@ def superiority_probability(
     elif isinstance(prior, BetaPrior):
         params = (*beta_posterior(prior, post_exp), *beta_posterior(prior, post_ctrl))
         if all(map(is_integral, params)):
-            larger = 0.5 if _symmetric(*params) else beta_superiority_scalar(*params)
+            a1, b1, a0, b0 = params  # Altham's table, as in ``_beta_sup_exact``
+            larger = (
+                0.5 if _symmetric(*params)
+                else hypergeom_upper_tail_scalar(a0 + a1 - 1, a0, b0 + b1 - 1, b0 - 1)
+            )
         else:
             carry = _beta_carry_to(prior, params, (post_exp.total, post_ctrl.total), carry)
             targets = (np.array([v], dtype=np.float64) for v in params)

@@ -22,7 +22,9 @@ evidence in that direction so that calibrated thresholds apply uniformly.
 The Fisher p-value is P(A >= s1) for A ~ Hypergeom(N = n1 + n0,
 K = s1 + s0, n1): ``models.hypergeom_upper_tail``, the kernel that also
 gives the exact beta superiority probability, computed with numpy and
-``scipy.special`` alone, so no simulation loads ``scipy.stats``.
+``scipy.special`` alone, so no simulation loads ``scipy.stats``.  A single
+trial's test sums the same tail on Python numbers
+(``models.hypergeom_upper_tail_scalar``), with the kernel's bits.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from scipy import special
 
 from .allocation import TrialTrajectory
 from .errors import ConfigError, DataError
-from .models import hypergeom_upper_tail
+from .models import hypergeom_upper_tail, hypergeom_upper_tail_scalar
 
 
 @dataclass(frozen=True)
@@ -245,11 +247,11 @@ def fisher_exact_one_sided(n1: int, s1: int, n0: int, s0: int) -> float:
     """One-sided Fisher exact p-value for "experimental success rate larger".
 
     Conditional on the table margins, P(S1 >= s1) under the hypergeometric
-    distribution: the vector kernel on one table, bit for bit.
+    distribution: the vector kernel's sum on one table, bit for bit.
     """
     if not (0 <= s1 <= n1 and 0 <= s0 <= n0):
         raise DataError("success counts must lie in [0, n] per arm")
-    return -float(fisher_statistic_from_counts([n1], [s1], [n0], [s0])[0])
+    return hypergeom_upper_tail_scalar(n1, s1, n0, s0)
 
 
 def fisher_statistic_from_counts(n1, s1, n0, s0):

@@ -21,6 +21,8 @@ from aptest.models import (
     BetaPrior,
     Exponential,
     GammaPrior,
+    NormalKnownVar,
+    NormalPrior,
     OutcomeModel,
 )
 from aptest.stats import ComparatorTest, lastblock_ap_test, original_ap_test, timedirect_ap_test
@@ -134,6 +136,16 @@ class TestPooledCalibration:
             post.control.total + post.experimental.total
         )
         assert pooled.param_control == pooled.param_experimental == expected
+
+    def test_pooled_normal_mean_keeps_both_sds(self):
+        model = OutcomeModel(NormalKnownVar(0.0, 0.5, 1.0, 1.5), "smaller")
+        traj, _ = self.make_trajectory(model, NormalPrior(0.0, 100.0))
+        pooled = pooled_null_model(traj, model)
+        post = traj.final_posteriors
+        mean = (post.control.total + post.experimental.total) / (
+            post.control.n + post.experimental.n
+        )
+        assert pooled == OutcomeModel(NormalKnownVar(mean, mean, 1.0, 1.5), "smaller")
 
     def test_pooled_binary_boundary_correction(self):
         model = OutcomeModel(Bernoulli(1 - 1e-12, 1 - 1e-12))

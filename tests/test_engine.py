@@ -6,7 +6,6 @@ import os
 import sys
 import threading
 import time
-from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -336,28 +335,6 @@ class TestDeterminism:
         assert batch.replicates == CHUNK_SIZE + 5
 
 
-@pytest.fixture
-def inline_pool(monkeypatch):
-    """A stand-in for the engine's process pool: records the worker count of
-    every pool built and runs chunks in-process, so no worker is started."""
-    built = []
-
-    class InlinePool(Executor):
-        def __init__(self, max_workers):
-            built.append(max_workers)
-            time.sleep(0.01)  # a real pool takes this long to start, so racing callers overlap
-
-        def submit(self, fn, *args, **kwargs):
-            done = Future()
-            done.set_result(fn(*args, **kwargs))
-            return done
-
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(engine, "_pool", None)
-    monkeypatch.setattr(engine, "_pool_workers", 0)
-    return built
-
-
 class TestSharedPool:
     def test_one_pool_sized_at_cpu_count(self, inline_pool):
         design = equal_randomization_design(10)
@@ -385,6 +362,16 @@ class TestSharedPool:
         assert not any(t.is_alive() for t in callers)
         assert inline_pool == [engine.pool_workers(2)]
         assert len(pools) == 16 and all(p is pools[0] for p in pools)
+
+    def test_new_size_replaces_the_pool(self, inline_pool, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # both sizes fit under the CPU cap
+        shut = []
+        monkeypatch.setattr(engine.ProcessPoolExecutor, "shutdown", lambda pool: shut.append(pool))
+        first = engine.shared_pool(2)
+        assert engine.shared_pool(2) is first
+        second = engine.shared_pool(3)
+        assert engine.shared_pool(3) is second is not first
+        assert inline_pool == [2, 3] and shut == [first]
 
 
 class TestBatteryValidation:

@@ -1,6 +1,9 @@
 """Scenario evaluation, patient benefit, sweeps, and report export."""
 
+import os
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +15,7 @@ from aptest import calibration, engine, harness
 from aptest.allocation import MAX_TOTAL_N, DesignConfig
 from aptest.calibration import NullSpec
 from aptest.engine import CHUNK_SIZE, simulate_batch
-from aptest.errors import ConfigError
+from aptest.errors import ConfigError, NumericalError
 from aptest.harness import (
     ScenarioSpec,
     TestEntry,
@@ -232,6 +235,36 @@ class TestRunScenario:
         assert len(serial.rows) == 12  # 4 models x 3 tests
         assert pooled.rows == serial.rows
         assert list(pooled.critical_values.items()) == list(serial.critical_values.items())
+
+    def test_error_at_worker_threads_drops_queued_calls(self, inline_pool, monkeypatch):
+        # two threads: the calibration raises once the first cell runs.  A
+        # cell lasts far longer than cancelling the queue takes, so beside
+        # those two only the cell that the calibration's freed thread picks
+        # up may start
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        started = []
+        first_cell = threading.Event()
+
+        def failing_calibration(*args, **kwargs):
+            started.append("calibration")
+            first_cell.wait(timeout=10)
+            raise NumericalError("calibration failed")
+
+        def slow_cell(*args, stream, **kwargs):
+            started.append(stream[-1])
+            first_cell.set()
+            time.sleep(0.1)
+
+        monkeypatch.setattr(harness, "calibrate", failing_calibration)
+        monkeypatch.setattr(harness, "simulate_batch", slow_cell)
+        spec = tiny_scenario(
+            alternative_models=tuple(OutcomeModel(Exponential(1.0, r)) for r in (1.2, 1.4, 1.8)),
+            tests=(TestEntry(lastblock_ap_test()),),
+        )
+        with pytest.raises(NumericalError, match="calibration failed"):
+            run_scenario(spec, threads=2)
+        # the queue held the calibration, then one cell per model
+        assert "calibration" in started and set(started) <= {"calibration", 0, 1}
 
     def test_mc_se_formula(self):
         report = run_scenario(tiny_scenario())

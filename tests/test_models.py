@@ -261,7 +261,7 @@ class TestBetaSuperiority:
         def whole_only(*params):
             raise AssertionError(f"the exact sum was given {params}")
 
-        monkeypatch.setattr(models, "beta_superiority_scalar", whole_only)
+        monkeypatch.setattr(models, "hypergeom_upper_tail_scalar", whole_only)
         exp, ctrl = ArmPosterior(5, total), ArmPosterior(5, 2.0)
         params = (*beta_posterior(prior, exp), *beta_posterior(prior, ctrl))
         p = superiority_probability(exp, ctrl, prior, carry=trial_beta_carry(prior))

@@ -29,8 +29,8 @@ from aptest.models import (
     OutcomeModel,
     beta_posterior,
     beta_prior_carry,
-    beta_superiority_scalar,
     beta_superiority_vec,
+    hypergeom_upper_tail_scalar,
     superiority_probability,
 )
 from aptest.stats import fisher_exact_one_sided, fisher_statistic_from_counts
@@ -233,9 +233,10 @@ def test_scalar_beta_sum_has_the_kernel_bits(states):
     # each element of the kernel's array keeps summing until every element
     # has converged, and the scalar stops at its own convergence
     kernel = models._beta_sup_exact(*np.array(states).T)
-    for state, p in zip(states, kernel):
-        assert beta_superiority_scalar(*state) == p
-        assert beta_superiority_scalar(*map(float, state)) == p
+    for (a1, b1, a0, b0), p in zip(states, kernel):
+        table = (a0 + a1 - 1, a0, b0 + b1 - 1, b0 - 1)  # Altham's, as the kernel maps it
+        assert hypergeom_upper_tail_scalar(*table) == p
+        assert hypergeom_upper_tail_scalar(*map(float, table)) == p
 
 
 def test_exact_beta_sum_refuses_non_integer_parameters():
@@ -581,8 +582,14 @@ def test_fisher_is_exactly_one_at_the_edges(table):
     assert fisher_exact_one_sided(n1, s1, 0, 0) == 1.0
 
 
-@given(st.lists(two_by_two(max_total=400), min_size=1, max_size=30))
+@given(st.lists(two_by_two(max_total=5000), min_size=1, max_size=30))
+@example([(2500, 1300, 2500, 1200), (2500, 1200, 2500, 1300)])  # the upper and the lower tail
+# s1 = 0 and s0 = n0, empty tails that read exactly 1, beside a long sum that
+# keeps the kernel's loop running past them
+@example([(2000, 0, 3000, 1700), (2000, 900, 3000, 3000), (2500, 1300, 2500, 1200)])
 def test_fisher_vector_equals_scalar(tables):
+    # each table of the kernel's array keeps summing until every table has
+    # converged, and the scalar stops at its own convergence
     statistic = fisher_statistic_from_counts(*np.array(tables).T)
     for i, table in enumerate(tables):
         assert -statistic[i] == fisher_exact_one_sided(*table)
