@@ -12,7 +12,7 @@ import dataclasses
 import logging
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,10 +28,12 @@ from .harness import (
     PerformanceReport,
     ScenarioSpec,
     TestEntry,
+    batch_calls,
     equal_randomization_design,
     export_critical_values,
     export_report,
     model_label,
+    results_in_order,
     run_scenario,
     write_rows,
 )
@@ -399,21 +401,25 @@ def run(manifest: RunManifest) -> int:
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     figure_rows: dict[str, list] = {}
-    for job in manifest.jobs:
-        null = job.scenario.null_model
-        report = run_scenario(job.scenario, threads=manifest.threads)
-        export_report(out / f"{report.scenario}_report.tsv", report)
-        if report.critical_values:
-            export_critical_values(
-                out / f"{report.scenario}_critical_values.tsv",
-                report.critical_values,
-                report.replicates_calib,
-                report.seed,
-                model_label(null.kind, null.param_control, null.param_experimental),
-            )
-        print(_summarize(report))
-        if job.figure:
-            figure_rows.setdefault(job.figure, []).extend(report.rows)
+    # one queue for the whole run: a scenario's batches start while the one
+    # before it still reads its last results
+    calls = [call for job in manifest.jobs for call in batch_calls(job.scenario, manifest.threads)]
+    with closing(results_in_order(calls, manifest.threads)) as results:
+        for job in manifest.jobs:
+            null = job.scenario.null_model
+            report = run_scenario(job.scenario, results=results)
+            export_report(out / f"{report.scenario}_report.tsv", report)
+            if report.critical_values:
+                export_critical_values(
+                    out / f"{report.scenario}_critical_values.tsv",
+                    report.critical_values,
+                    report.replicates_calib,
+                    report.seed,
+                    model_label(null.kind, null.param_control, null.param_experimental),
+                )
+            print(_summarize(report))
+            if job.figure:
+                figure_rows.setdefault(job.figure, []).extend(report.rows)
     for figure, rows in figure_rows.items():
         _write_figure_data(out / f"{figure}_data.tsv", rows)
     print(f"done in {time.perf_counter() - started:.1f}s -> {out}")

@@ -145,6 +145,11 @@ class _PosteriorVec:
                 self._carry = beta_prior_carry(prior.alpha, prior.beta, size)
         if isinstance(model.family, NormalKnownVar):
             self._sds = (model.family.sd_control, model.family.sd_experimental)
+            # each arm's posterior variance at every count 0..N, looked up per block
+            counts = np.arange(max_n + 1)
+            self._var = tuple(
+                normal_posterior(prior, ArmPosterior(counts, 0.0), sd)[1] for sd in self._sds
+            )
 
     def superiority(self, exact: bool = False) -> np.ndarray:
         """P(experimental better) per replicate.
@@ -170,8 +175,10 @@ class _PosteriorVec:
             )
         else:
             sd0, sd1 = self._sds
+            var0, var1 = self._var
             pi = normal_superiority_vec(
-                *normal_posterior(prior, exp, sd1), *normal_posterior(prior, ctrl, sd0)
+                *normal_posterior(prior, exp, sd1, var1[self.n1]),
+                *normal_posterior(prior, ctrl, sd0, var0[self.n0]),
             )
         return oriented_probability(pi, self.model.better_direction)
 
@@ -259,10 +266,13 @@ def _simulate_chunk(
     acc = {spec.name: np.zeros(size) for spec in ap_specs}
 
     def record(pi: np.ndarray, t: int) -> None:
+        transformed = {}  # each distinct transform once per block
         for spec in ap_specs:
             w = weight_by_block[spec.name][t]
             if w != 0.0:
-                acc[spec.name] += w * apply_transform(spec.f, pi)
+                if spec.f not in transformed:
+                    transformed[spec.f] = apply_transform(spec.f, pi)
+                acc[spec.name] += w * transformed[spec.f]
 
     if design.is_adaptive:
         half = design.burn_in // 2

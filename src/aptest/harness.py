@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import logging
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
@@ -241,6 +242,9 @@ class PerformanceReport:
     replicates_eval: int
     replicates_calib: int
     seed: int
+    #: Seconds the scenario spent reading its results and building the report.
+    #: On a stream shared by several scenarios its batches may have started
+    #: earlier, while an earlier scenario was still being read.
     wall_time: float = 0.0
     version: str = __version__
 
@@ -268,13 +272,57 @@ def _mc_se(rate: float, replicates: int) -> float:
     return float(np.sqrt(rate * (1.0 - rate) / replicates))
 
 
-def run_scenario(spec: ScenarioSpec, threads: int = 1) -> PerformanceReport:
+def _calibrations(spec: ScenarioSpec) -> list:
+    """(role, design, tests to calibrate) of each role that has calibrated tests."""
+    return [
+        (role, design, tests)
+        for role, design, entries in spec.roles()
+        if (tests := tuple(e.spec for e in entries if e.mode == CALIBRATED))
+    ]
+
+
+def _cells(spec: ScenarioSpec) -> list:
+    """(model index, model, role, design, tests) of every evaluation cell."""
+    roles = spec.roles()
+    return [(mi, model, *role) for mi, model in enumerate(spec.model_grid()) for role in roles]
+
+
+def batch_calls(spec: ScenarioSpec, threads: int) -> list:
+    """Every batch call of a scenario, in the order ``run_scenario`` reads their results.
+
+    Each role's calibration comes first, then each (model, role) cell.
+    """
+    calibrations = [
+        functools.partial(
+            calibrate,
+            NullSpec(design, spec.null_model, spec.prior, spec.replicates_calib, spec.seed),
+            tests, spec.alpha, threads=threads, stream=(role,),
+        )
+        for role, design, tests in _calibrations(spec)
+    ]
+    return calibrations + [
+        functools.partial(
+            simulate_batch, design, model, spec.prior, tuple(e.spec for e in entries),
+            spec.replicates_eval, spec.seed, stream=(STREAM_EVALUATION, role, mi),
+            threads=threads,
+        )
+        for mi, model, role, design, entries in _cells(spec)
+    ]
+
+
+def run_scenario(spec: ScenarioSpec, threads: int = 1, results=None) -> PerformanceReport:
     """Calibrate, evaluate every model cell, and aggregate the report.
 
+    ``results`` yields the results of ``batch_calls(spec, threads)`` in
+    order, and may go on to later scenarios' results: ``cli.run`` reads one
+    such stream for a whole run.  Without it the scenario makes its own.
     At ``threads > 1`` the calibrations and evaluation cells run concurrently
     on the engine's shared pool; results are read in the serial order, so
     the report is identical for any ``threads``.
     """
+    if results is None:
+        with closing(results_in_order(batch_calls(spec, threads), threads)) as own:
+            return run_scenario(spec, threads, own)
     start = time.perf_counter()
     if spec.replicates_eval < 10**4:
         log.warning(
@@ -282,66 +330,46 @@ def run_scenario(spec: ScenarioSpec, threads: int = 1) -> PerformanceReport:
             spec.name,
             spec.replicates_eval,
         )
-    roles = spec.roles()
-    # every batch call, in the serial order: each role's calibration, then each cell
-    calls = []
-    for role, design, entries in roles:
-        to_calibrate = tuple(e.spec for e in entries if e.mode == CALIBRATED)
-        if to_calibrate:
-            null = NullSpec(design, spec.null_model, spec.prior, spec.replicates_calib, spec.seed)
-            calls.append(functools.partial(
-                calibrate, null, to_calibrate, spec.alpha, threads=threads, stream=(role,)
-            ))
-    n_calibrations = len(calls)
-    cells = []
-    for mi, model in enumerate(spec.model_grid()):
-        for role, design, entries in roles:
-            cells.append((model, design, entries))
-            calls.append(functools.partial(
-                simulate_batch, design, model, spec.prior, tuple(e.spec for e in entries),
-                spec.replicates_eval, spec.seed, stream=(STREAM_EVALUATION, role, mi),
-                threads=threads,
-            ))
     critical_values: dict[str, CriticalValue] = {}
+    for _ in _calibrations(spec):
+        critical_values.update(next(results))
     rows: list[ReportRow] = []
-    with closing(_results_in_order(calls, threads)) as results:
-        for _ in range(n_calibrations):
-            critical_values.update(next(results))
-        for (model, design, entries), batch in zip(cells, results):
-            cell_benefit = patient_benefit(batch, model, design)
-            for e in entries:
-                if e.mode == CALIBRATED:
-                    threshold = critical_values[e.name].q_alpha
-                else:
-                    threshold = nominal_critical_value(e.spec, design.num_blocks, spec.alpha)
-                rate = float((batch.statistics[e.name] > threshold).mean())
-                se = _mc_se(rate, spec.replicates_eval)
-                if spec.replicates_eval >= 10**4 and 0.05 <= rate <= 0.95 and se > 0.005:
-                    log.warning(
-                        "scenario %s: mc_se=%.4f exceeds 0.005 for test %s",
-                        spec.name, se, e.name,
-                    )
-                rows.append(
-                    ReportRow(
-                        scenario=spec.name,
-                        design_label=design.label(),
-                        total_n=design.total_n,
-                        block_size=design.block_size,
-                        burn_in=design.burn_in,
-                        family=model.kind,
-                        param_control=model.param_control,
-                        param_experimental=model.param_experimental,
-                        test=e.name,
-                        mode=e.mode,
-                        alpha=spec.alpha,
-                        rejection_rate=rate,
-                        mc_se=se,
-                        pct_better_mean=cell_benefit.pct_on_better_mean,
-                        pct_better_sd=cell_benefit.pct_on_better_sd,
-                        mean_outcome=_reported_outcome(cell_benefit, model),
-                        seed=spec.seed,
-                    )
+    # zip takes a cell before a result, so it reads no later scenario's result
+    for (_, model, _, design, entries), batch in zip(_cells(spec), results):
+        cell_benefit = patient_benefit(batch, model, design)
+        for e in entries:
+            if e.mode == CALIBRATED:
+                threshold = critical_values[e.name].q_alpha
+            else:
+                threshold = nominal_critical_value(e.spec, design.num_blocks, spec.alpha)
+            rate = float((batch.statistics[e.name] > threshold).mean())
+            se = _mc_se(rate, spec.replicates_eval)
+            if spec.replicates_eval >= 10**4 and 0.05 <= rate <= 0.95 and se > 0.005:
+                log.warning(
+                    "scenario %s: mc_se=%.4f exceeds 0.005 for test %s",
+                    spec.name, se, e.name,
                 )
+            rows.append(
+                ReportRow(
+                    scenario=spec.name,
+                    design_label=design.label(),
+                    total_n=design.total_n,
+                    block_size=design.block_size,
+                    burn_in=design.burn_in,
+                    family=model.kind,
+                    param_control=model.param_control,
+                    param_experimental=model.param_experimental,
+                    test=e.name,
+                    mode=e.mode,
+                    alpha=spec.alpha,
+                    rejection_rate=rate,
+                    mc_se=se,
+                    pct_better_mean=cell_benefit.pct_on_better_mean,
+                    pct_better_sd=cell_benefit.pct_on_better_sd,
+                    mean_outcome=_reported_outcome(cell_benefit, model),
+                    seed=spec.seed,
+                )
+            )
 
     return PerformanceReport(
         scenario=spec.name,
@@ -354,15 +382,16 @@ def run_scenario(spec: ScenarioSpec, threads: int = 1) -> PerformanceReport:
     )
 
 
-def _results_in_order(calls, threads: int):
+def results_in_order(calls, threads: int):
     """Yield each call's result in list order.
 
     At one thread a call runs when its result is read, so no batch is made
     before the reader needs it.  At more, calls run at once on threads that
     only wait for the engine's shared pool: no more threads than the pool
     has workers, started after the pool so that no worker is forked from a
-    multi-threaded process.  On an error, or when the reader closes this
-    generator, calls not yet started are dropped.
+    multi-threaded process.  A call that raises stops every call not yet
+    started, and so does the reader closing this generator; the reader
+    meets the error when it reaches that call's result.
     """
     if threads == 1:
         for call in calls:
@@ -370,8 +399,19 @@ def _results_in_order(calls, threads: int):
         return
     shared_pool(threads)
     pool = ThreadPoolExecutor(max_workers=pool_workers(threads))
+    failed = threading.Event()
+
+    def run(call):
+        if failed.is_set():
+            return None  # never read: the reader stops at the failed call before it
+        try:
+            return call()
+        except BaseException:
+            failed.set()
+            raise
+
     try:
-        yield from pool.map(lambda call: call(), calls)
+        yield from pool.map(run, calls)
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -313,11 +313,17 @@ def beta_posterior(prior: BetaPrior, arm: ArmPosterior) -> tuple[float, float]:
 
 
 def normal_posterior(
-    prior: NormalPrior, arm: ArmPosterior, sd: float
+    prior: NormalPrior, arm: ArmPosterior, sd: float, var=None
 ) -> tuple[float, float]:
-    """(mean, variance) of the normal posterior for one arm's mean."""
-    precision = 1.0 / prior.variance + arm.n / (sd * sd)
-    var = 1.0 / precision
+    """(mean, variance) of the normal posterior for one arm's mean.
+
+    The variance depends on the count alone; ``var`` passes it in when the
+    caller holds it already, e.g. from a table of this function's variances
+    over the counts.
+    """
+    if var is None:
+        precision = 1.0 / prior.variance + arm.n / (sd * sd)
+        var = 1.0 / precision
     mean = var * (prior.mean / prior.variance + arm.total / (sd * sd))
     return mean, var
 
@@ -727,7 +733,7 @@ def oriented_probability(larger, direction: str):
     p = larger if direction == LARGER else 1.0 - larger
     if scalar:
         return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
-    return np.minimum(np.maximum(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
+    return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
 
 
 def is_integral(x: float) -> bool:

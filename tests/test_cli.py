@@ -2,12 +2,16 @@
 
 import dataclasses
 import logging
+import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
-from aptest import cli
+from aptest import cli, harness
+from aptest.calibration import STREAM_EVALUATION
 from aptest.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -16,7 +20,7 @@ from aptest.cli import (
     load_config,
     main,
 )
-from aptest.errors import ConfigError
+from aptest.errors import ConfigError, NumericalError
 from aptest.presets import PresetJob, build_preset, preset_names
 
 GOOD_CONFIG = """
@@ -617,3 +621,128 @@ class TestEndToEnd:
         )
         assert result.returncode == 0
         assert "aptest 0.1.0" in result.stdout
+
+
+#: GOOD_CONFIG's scenario again under another name and seed; the seed tells
+#: the two scenarios' batch calls apart.
+SECOND_SCENARIO = (
+    GOOD_CONFIG.replace("scenarios:\n", "").replace("name: demo", "name: second")
+    .replace("seed: 5", "seed: 6")
+)
+#: Batch calls per scenario: the lastblock calibration, then 2 models x 2 designs.
+CALLS_PER_SCENARIO = 5
+
+
+def _seed_of(fn, args):
+    # calibrate(null, ...) and simulate_batch(design, model, prior, tests, replicates, seed, ...)
+    return args[0].seed if fn == "calibrate" else args[5]
+
+
+class TestOneQueue:
+    """cli.run reads every scenario's batches from one ordered stream."""
+
+    @pytest.fixture
+    def two_scenarios(self, tmp_path):
+        config = tmp_path / "c.yaml"
+        config.write_text(GOOD_CONFIG + SECOND_SCENARIO)
+        return config
+
+    def test_one_worker_runs_each_batch_inside_its_scenario(
+        self, tmp_path, monkeypatch, two_scenarios
+    ):
+        # the benchmark's harness.cells counts the batches whose parent span
+        # is cli.run_scenario, so at one worker none may run ahead
+        active, calls = [], []
+        real_run = cli.run_scenario
+
+        def run_scenario(spec, *args, **kwargs):
+            active.append(spec.seed)
+            try:
+                return real_run(spec, *args, **kwargs)
+            finally:
+                active.pop()
+
+        def recording(fn):
+            real = getattr(harness, fn)
+
+            def call(*args, **kwargs):
+                calls.append((active[-1] if active else None, _seed_of(fn, args)))
+                return real(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+        for fn in ("calibrate", "simulate_batch"):
+            monkeypatch.setattr(harness, fn, recording(fn))
+        argv = ["--config", str(two_scenarios), "--out", str(tmp_path / "out"), "--threads", "1"]
+        assert main(argv) == 0
+        assert calls == [(5, 5)] * CALLS_PER_SCENARIO + [(6, 6)] * CALLS_PER_SCENARIO
+
+    def test_next_scenario_starts_before_the_last_one_returns(
+        self, tmp_path, monkeypatch, inline_pool, two_scenarios
+    ):
+        # the first scenario's last cell waits for the second scenario's first
+        # batch, which a queue per scenario never starts while it waits
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        events = []
+        second_started = threading.Event()
+        real_run, real_batch = cli.run_scenario, harness.simulate_batch
+
+        def run_scenario(spec, *args, **kwargs):
+            report = real_run(spec, *args, **kwargs)
+            events.append(("returned", spec.seed))
+            return report
+
+        def simulate_batch(*args, stream, **kwargs):
+            seed = _seed_of("simulate_batch", args)
+            events.append(("started", seed))
+            if seed == 6:
+                second_started.set()
+            elif stream == (STREAM_EVALUATION, 1, 1):
+                second_started.wait(timeout=10)
+            return real_batch(*args, stream=stream, **kwargs)
+
+        monkeypatch.setattr(cli, "run_scenario", run_scenario)
+        monkeypatch.setattr(harness, "simulate_batch", simulate_batch)
+        # nominal tests only, so every batch of both scenarios is a simulate_batch call
+        config = two_scenarios
+        config.write_text(config.read_text().replace("      - {ap: lastblock}\n", ""))
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--out", str(out), "--threads", "2"]) == 0
+        assert events.index(("started", 6)) < events.index(("returned", 5))
+        assert events.count(("started", 6)) == CALLS_PER_SCENARIO - 1
+
+    def test_error_in_second_scenario_keeps_first_outputs(
+        self, tmp_path, capsys, monkeypatch, inline_pool, two_scenarios
+    ):
+        # the second scenario's calibration fails at once.  Its cells last far
+        # longer than setting the stop flag takes, so only the cell already
+        # taken by the other thread may start
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        started = []
+        real_calibrate, real_batch = harness.calibrate, harness.simulate_batch
+
+        def calibrate(*args, **kwargs):
+            if _seed_of("calibrate", args) == 6:
+                started.append("calibration")
+                raise NumericalError("second calibration failed")
+            return real_calibrate(*args, **kwargs)
+
+        def simulate_batch(*args, stream, **kwargs):
+            if _seed_of("simulate_batch", args) == 6:
+                started.append(stream)
+                time.sleep(0.1)
+                return None
+            return real_batch(*args, stream=stream, **kwargs)
+
+        monkeypatch.setattr(harness, "calibrate", calibrate)
+        monkeypatch.setattr(harness, "simulate_batch", simulate_batch)
+        out = tmp_path / "out"
+        argv = ["--config", str(two_scenarios), "--out", str(out), "--threads", "2"]
+        assert main(argv) == EXIT_NUMERICAL
+        assert "second calibration failed" in capsys.readouterr().err
+        assert sorted(p.name for p in out.glob("*.tsv")) == [
+            "demo_critical_values.tsv", "demo_report.tsv"
+        ]
+        assert started[0] == "calibration"
+        assert started[1:] in ([], [(STREAM_EVALUATION, 0, 0)])

@@ -23,6 +23,7 @@ from aptest.engine import CHUNK_SIZE, derive_rng, simulate_batch
 from aptest.errors import ConfigError, NumericalError
 from aptest.harness import equal_randomization_design
 from aptest.models import (
+    ArmPosterior,
     Bernoulli,
     BetaPrior,
     Exponential,
@@ -33,6 +34,8 @@ from aptest.models import (
     beta_posterior,
     beta_superiority_vec,
     gamma_superiority_vec,
+    normal_posterior,
+    normal_superiority_vec,
     oriented_probability,
 )
 from aptest.stats import (
@@ -81,6 +84,22 @@ class TestVectorizedSuperiority:
         for params in (better, better[2:] + better[:2]):
             p = beta_superiority_vec(*params, table)
             assert np.all((p >= 0.0) & (p <= 1.0))
+
+    def test_normal_variance_table_has_the_posterior_bits(self, rng):
+        # unequal sds, so a table read on the wrong arm would show
+        model = OutcomeModel(NormalKnownVar(0.3, -1.0, 2.0, 0.5))
+        prior = NormalPrior(0.4, 30.0)
+        post = engine._PosteriorVec(model, prior, 500, 400)
+        post.n1 = rng.integers(0, 401, 500)
+        post.n0 = 400 - post.n1
+        post.s1 = rng.normal(0.0, 20.0, 500)
+        post.s0 = rng.normal(0.0, 20.0, 500)
+        direct = normal_superiority_vec(
+            *normal_posterior(prior, ArmPosterior(post.n1, post.s1), 0.5),
+            *normal_posterior(prior, ArmPosterior(post.n0, post.s0), 2.0),
+        )
+        expected = oriented_probability(direct, model.better_direction)
+        assert post.superiority().tobytes() == expected.tobytes()
 
 
 class TestBetaCarry:
