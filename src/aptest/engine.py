@@ -266,13 +266,10 @@ def _simulate_chunk(
     acc = {spec.name: np.zeros(size) for spec in ap_specs}
 
     def record(pi: np.ndarray, t: int) -> None:
-        transformed = {}  # each distinct transform once per block
         for spec in ap_specs:
             w = weight_by_block[spec.name][t]
             if w != 0.0:
-                if spec.f not in transformed:
-                    transformed[spec.f] = apply_transform(spec.f, pi)
-                acc[spec.name] += w * transformed[spec.f]
+                acc[spec.name] += w * apply_transform(spec.f, pi)
 
     if design.is_adaptive:
         half = design.burn_in // 2

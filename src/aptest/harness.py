@@ -10,6 +10,7 @@ power differences.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import logging
@@ -49,6 +50,10 @@ NOMINAL = "nominal"
 
 #: Longest file name, in bytes, that common file systems accept.
 MAX_FILE_NAME_BYTES = 255
+
+#: Batch calls queued ahead of the reader, per pool worker: the results held
+#: unread stay bounded however many scenarios share the queue.
+READ_AHEAD_PER_WORKER = 4
 
 _PRIMARY_ROLE = 0
 _ER_ROLE = 1
@@ -389,29 +394,41 @@ def results_in_order(calls, threads: int):
     before the reader needs it.  At more, calls run at once on threads that
     only wait for the engine's shared pool: no more threads than the pool
     has workers, started after the pool so that no worker is forked from a
-    multi-threaded process.  A call that raises stops every call not yet
-    started, and so does the reader closing this generator; the reader
-    meets the error when it reaches that call's result.
+    multi-threaded process, and at most ``READ_AHEAD_PER_WORKER`` calls per
+    worker queued ahead of the reader.  A call that raises stops every call
+    after it in the list that has not started, and so does the reader
+    closing this generator; the reader meets the error when it reaches that
+    call's result.
     """
     if threads == 1:
         for call in calls:
             yield call()
         return
     shared_pool(threads)
-    pool = ThreadPoolExecutor(max_workers=pool_workers(threads))
-    failed = threading.Event()
+    workers = pool_workers(threads)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    first_failed = len(calls)  # list position of the earliest call that raised
+    lock = threading.Lock()
 
-    def run(call):
-        if failed.is_set():
+    def run(i):
+        nonlocal first_failed
+        if i > first_failed:
             return None  # never read: the reader stops at the failed call before it
         try:
-            return call()
+            return calls[i]()
         except BaseException:
-            failed.set()
+            with lock:
+                first_failed = min(first_failed, i)
             raise
 
+    queued = collections.deque()
     try:
-        yield from pool.map(run, calls)
+        for i in range(len(calls)):
+            queued.append(pool.submit(run, i))
+            if len(queued) == READ_AHEAD_PER_WORKER * workers:
+                yield queued.popleft().result()
+        while queued:
+            yield queued.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
 

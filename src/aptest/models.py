@@ -733,7 +733,7 @@ def oriented_probability(larger, direction: str):
     p = larger if direction == LARGER else 1.0 - larger
     if scalar:
         return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
-    return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return np.minimum(np.maximum(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
 
 
 def is_integral(x: float) -> bool:

@@ -4,6 +4,7 @@ import os
 import tempfile
 import threading
 import time
+from concurrent.futures import Executor, Future
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,67 @@ class TestRunScenario:
         report = run_scenario(spec)
         assert report.critical_values["original"].degenerate_max
         assert report.rejection_rate("exponential(1,1)", "original") == 0.0
+
+
+class HeldPool(Executor):
+    """Stands in for the reader's thread pool: holds every submitted call
+    until a result is asked for, then runs them in ``order`` of submission
+    position, as threads that took calls in list order may reach them."""
+
+    order: tuple = ()
+
+    def __init__(self, max_workers):
+        self.held = []
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.result = lambda timeout=None: (self.run_held(), Future.result(future))[1]
+        self.held.append((future, fn, args))
+        return future
+
+    def run_held(self):
+        held, self.held = self.held, []
+        for i in self.order if held else ():
+            future, fn, args = held[i]
+            try:
+                future.set_result(fn(*args))
+            except NumericalError as exc:
+                future.set_exception(exc)
+
+
+class TestResultsInOrder:
+    """harness.results_in_order at more than one thread."""
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch, inline_pool):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def test_call_before_the_failed_one_is_read_though_it_started_after(self, monkeypatch):
+        # call 2 raises before calls 0 and 1 start, and call 3 is taken after it
+        monkeypatch.setattr(HeldPool, "order", (2, 3, 0, 1))
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", HeldPool)
+        started = []
+
+        def call(i):
+            started.append(i)
+            if i == 2:
+                raise NumericalError("call 2 failed")
+            return i
+
+        results = harness.results_in_order([lambda i=i: call(i) for i in range(4)], threads=2)
+        assert [next(results), next(results)] == [0, 1]
+        with pytest.raises(NumericalError, match="call 2 failed"):
+            next(results)
+        assert started == [2, 0, 1]  # call 3, behind the failed one, never started
+
+    def test_calls_queued_ahead_of_the_reader_are_bounded(self):
+        window = harness.READ_AHEAD_PER_WORKER * 2
+        started = []
+        calls = [lambda i=i: started.append(i) or i for i in range(3 * window)]
+        for read, result in enumerate(harness.results_in_order(calls, threads=2)):
+            assert result == read
+            assert len(started) <= read + window
+        assert started == list(range(3 * window))
 
 
 class TestSweeps:

@@ -364,20 +364,6 @@ class TestSuperiorityProperties:
             assert p > previous
             previous = p
 
-    def test_clamp_keeps_the_minimum_maximum_bits(self):
-        # one np.clip pass in place of np.minimum(np.maximum(...)): the same
-        # bits at and beside both bounds, at signed zeros and on subnormals
-        floor = models.PROB_FLOOR
-        tiny = np.finfo(np.float64).smallest_subnormal
-        edges = [floor, 1.0 - floor, 0.0, -0.0, 1.0, -1.0, 2.0, 0.5, tiny, -tiny, 1e-310,
-                 -1e-310, np.finfo(np.float64).tiny]
-        near = [np.nextafter(v, d) for v in (floor, 1.0 - floor) for d in (0.0, 1.0)]
-        p = np.array(edges + near)
-        for direction in ("larger", "smaller"):
-            flipped = p if direction == "larger" else 1.0 - p
-            old = np.minimum(np.maximum(flipped, floor), 1.0 - floor)
-            assert models.oriented_probability(p, direction).tobytes() == old.tobytes()
-
     def test_value_strictly_inside_unit_interval(self):
         prior = BetaPrior(1.0, 1.0)
         p = superiority_probability(ArmPosterior(500, 500.0), ArmPosterior(500, 0.0), prior)
