@@ -116,7 +116,9 @@ def validate_battery(
 class _PosteriorVec:
     """Chunk-wide sufficient statistics with a family-specific probability map."""
 
-    def __init__(self, model: OutcomeModel, prior: PriorSpec, size: int, max_n: int):
+    def __init__(
+        self, model: OutcomeModel, prior: PriorSpec, size: int, max_n: int, block_size: int = 1
+    ):
         self.model = model
         self.prior = prior
         self.kind = model.kind
@@ -134,12 +136,14 @@ class _PosteriorVec:
         if isinstance(prior, BetaPrior):
             if prior.integral:
                 # integer hyperparameters keep the posterior parameters integer
-                # arrays; the table gives the carry its log g when the exact
-                # sum refills it, and marks the path that may take that sum
+                # arrays.  Blocks of size above 1 take the exact sum; at one
+                # subject per block the sum fills the carry at the first block,
+                # with its log g from the table, and unit steps advance it
                 self.prior = BetaPrior(int(prior.alpha), int(prior.beta))
-                top = 2 * (self.prior.alpha + self.prior.beta) + 4 * max_n + 16
-                self._table = special.gammaln(np.arange(top, dtype=np.float64))
-                self._carry = BetaCarry()  # filled by the first superiority call
+                if block_size == 1:
+                    top = 2 * (self.prior.alpha + self.prior.beta) + 4 * max_n + 16
+                    self._table = special.gammaln(np.arange(top, dtype=np.float64))
+                    self._carry = BetaCarry()
             else:
                 # no exact sum exists: the carry starts at the prior
                 self._carry = beta_prior_carry(prior.alpha, prior.beta, size)
@@ -154,10 +158,11 @@ class _PosteriorVec:
     def superiority(self, exact: bool = False) -> np.ndarray:
         """P(experimental better) per replicate.
 
-        Beta posteriors step the chunk's carry from the previous call unless
-        ``exact`` and the prior is integral, which takes the exact sum and
-        leaves the carry alone.  After ``absorb_one`` the carry takes one
-        unit step per replicate, picked by that subject's arm and outcome.
+        Beta posteriors step the chunk's carry from the previous call.  They
+        take the exact sum where there is no carry (an integer prior at
+        blocks of size above 1), and with ``exact`` under an integer prior,
+        which leaves the carry alone.  After ``absorb_one`` the carry takes
+        one unit step per replicate, picked by that subject's arm and outcome.
         """
         prior = self.prior
         unit, self._unit = self._unit, None
@@ -170,7 +175,7 @@ class _PosteriorVec:
                 *beta_posterior(prior, exp),
                 *beta_posterior(prior, ctrl),
                 self._table,
-                carry=None if exact and self._table is not None else self._carry,
+                carry=None if exact and prior.integral else self._carry,
                 unit=unit,
             )
         else:
@@ -254,7 +259,7 @@ def _simulate_chunk(
     rng: np.random.Generator,
 ) -> BatchResult:
     T = design.num_blocks
-    post = _PosteriorVec(model, prior, size, design.total_n)
+    post = _PosteriorVec(model, prior, size, design.total_n, design.block_size)
 
     ap_specs = [t for t in tests if isinstance(t, APTestSpec)]
     # weight_by_block[name][t] = w_t for t = 0..T+1 (0 outside t_min..T+1)

@@ -541,25 +541,15 @@ def beta_prior_carry(alpha: float, beta: float, size: int) -> BetaCarry:
 #: r stays inside S**(+-32), which is finite for any total below 1e9.
 _FOLD_STEPS = 32
 
-#: A call steps the carry while its unit steps number at most this many
-#: times the exact sum's terms, and takes the exact sum past that.  The
-#: factor priced an earlier sum (a term 290-300 us on 16384 elements, a unit
-#: step 150-170 us); ``hypergeom_upper_tail`` stops early, at 3-6 ms per
-#: 16384 elements for N = 12-1000 with refill (2-core VM, numpy 2.4), and on
-#: six B > 1 Bernoulli chunks the factor chose within 1.04-1.39 times the
-#: better of always stepping and always summing.
-_STEPS_PER_TERM = 1.8
 
-
-def _beta_sup_step(carry: BetaCarry, targets, table) -> np.ndarray | None:
+def _beta_sup_step(carry: BetaCarry, targets) -> np.ndarray:
     # One unit increment at a time (Cook 2005), g taken before the step:
     #   a1 + 1: h += g/a1    b1 + 1: h -= g/b1
     #   a0 + 1: h -= g/a0    b0 + 1: h += g/b0
     # and g grows by (same-letter sum)(same-arm sum) / (total)(stepped
     # parameter).  g = exp(log g) * r: r is linear within a call and folded
     # into log g, so a long lopsided trial underflows no state, only terms
-    # far below the probability floor.  Returns None, stepping nothing, when
-    # ``table`` is given and the exact sum is the cheaper of the two.
+    # far below the probability floor.
     a1, b1, a0, b0 = params = carry.params
     *deltas, g0, r, m, mr, q, grow, other, total = carry._scratch()
     for delta, target, par in zip(deltas, targets, params):
@@ -567,10 +557,6 @@ def _beta_sup_step(carry: BetaCarry, targets, table) -> np.ndarray | None:
         np.rint(np.subtract(target, par, out=delta), out=delta)
     if any((delta < 0).any() for delta in deltas):
         raise ValueError("beta superiority carry: parameters may only grow")
-    if table is not None and sum(int(delta.max()) for delta in deltas) > (
-        _STEPS_PER_TERM * min(int(target.max()) for target in targets)
-    ):
-        return None
     h = carry.h.copy()
     log_g = carry.log_g
     np.exp(log_g, out=g0)
@@ -678,10 +664,8 @@ def beta_superiority_vec(
     units, at O(1) per unit increment; the result is then also the carry's
     state, not to be modified in place.  ``table``, gammaln(0..M) for M
     beyond every parameter sum, gives the carry its log g when the exact
-    sum fills it; given ``table``, a call whose unit steps cost more than
-    the exact sum takes the sum and refills the carry, and without it the
-    carry always steps.  Identical posteriors, and pairs of posteriors that
-    are each symmetric about 1/2, give exactly 0.5.
+    sum fills it.  Identical posteriors, and pairs of posteriors that are
+    each symmetric about 1/2, give exactly 0.5.
 
     ``unit`` = (k1, y) says that each element gained exactly one subject
     since the carry's last call, on arm k1 (1 experimental, 0 control) with
@@ -690,19 +674,17 @@ def beta_superiority_vec(
     caller's last call.
     """
     targets = (al1, be1, al0, be0)
-    h = None
-    if carry is not None and carry.h is not None:
-        if unit is not None:
-            h = _beta_unit_step(carry, *unit)
-            carry.targets = targets
-        else:
-            carry.check()
-            h = _beta_sup_step(carry, targets, table)
-    if h is None:
+    if carry is None or carry.h is None:
         h = _beta_sup_exact(*targets)
         if carry is not None:
             carry.params = np.array(targets, dtype=np.float64)
             carry.log_g = _beta_log_g(*targets, table)
+    elif unit is not None:
+        h = _beta_unit_step(carry, *unit)
+        carry.targets = targets
+    else:
+        carry.check()
+        h = _beta_sup_step(carry, targets)
     h[_symmetric(*targets)] = 0.5  # the sums land either side of it
     if carry is not None:
         carry.h = h
@@ -773,30 +755,12 @@ def _beta_carry_to(prior: BetaPrior, params, totals, carry) -> BetaCarry:
 
 
 def _quadrature_superiority(dist_exp, dist_ctrl) -> float:
-    """Integral of pdf_exp(x) * cdf_ctrl(x) over a bracketing of both supports.
+    """Removed: no path integrates a superiority probability any more.
 
-    Uncalled: its one reader is the benchmark's tracer (``perfbench/tracing.py``),
-    which wraps the name to count quadrature calls; it goes once that wrap does.
+    The name stays because the benchmark's tracer (``perfbench/tracing.py``)
+    wraps it to count quadrature calls, which must read 0.
     """
-    from scipy import integrate  # loaded on first use: most runs never integrate
-
-    eps = 1e-15
-    lo = min(dist_exp.ppf(eps), dist_ctrl.ppf(eps))
-    hi = max(dist_exp.ppf(1 - eps), dist_ctrl.ppf(1 - eps))
-    value, abserr = integrate.quad(
-        lambda x: dist_exp.pdf(x) * dist_ctrl.cdf(x),
-        lo,
-        hi,
-        epsabs=1e-10,
-        epsrel=1e-10,
-        limit=200,
-    )
-    if not np.isfinite(value) or abserr > 1e-8:
-        raise NumericalError(
-            f"superiority quadrature did not converge: value={value}, "
-            f"abserr={abserr}, bracket=({lo}, {hi})"
-        )
-    return value
+    raise NotImplementedError("superiority quadrature was removed")
 
 
 def superiority_probability(

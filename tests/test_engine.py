@@ -34,6 +34,7 @@ from aptest.models import (
     beta_posterior,
     beta_superiority_vec,
     gamma_superiority_vec,
+    hypergeom_upper_tail_scalar,
     normal_posterior,
     normal_superiority_vec,
     oriented_probability,
@@ -126,8 +127,10 @@ class TestBetaCarry:
 
         monkeypatch.setattr(engine, "beta_superiority_vec", exact_only)
         exact = simulate_batch(design, model, prior, tests, 3000, seed=11)
-        # every adaptive block offers the carry; the final block T+1 does not
-        assert calls == [True] * design.num_blocks + [False]
+        # at one subject per block every adaptive block offers the carry and
+        # the final block T+1 does not; larger blocks take the exact sum throughout
+        offered = block_size == 1
+        assert calls == [offered] * design.num_blocks + [False]
         assert np.array_equal(carried.n_experimental, exact.n_experimental)
         for name in exact.statistics:
             np.testing.assert_allclose(
@@ -226,8 +229,8 @@ class TestGoldenPin:
         ("X86_V4", "X86_V4", "X86_V4"): {
             (1.0, 1, False): "429b3cbcdd35c47c",
             (1.0, 1, True): "c03c54e288a35fea",
-            (1.0, 3, False): "461e23a206ab1c3b",
-            (1.0, 3, True): "4c3c8036aa525fda",
+            (1.0, 3, False): "6e4736fe4532f260",
+            (1.0, 3, True): "6a35564e4ac03089",
             (0.5, 1, False): "3d3eeb46a34f92d0",
             (0.5, 1, True): "429b63959a4e480c",
             (0.5, 3, False): "51cc6ad8467c2f51",
@@ -236,8 +239,8 @@ class TestGoldenPin:
         ("X86_V3", "X86_V3", "baseline(X86_V2)"): {
             (1.0, 1, False): "74959e9fc51b1188",
             (1.0, 1, True): "e11819bb2e8d1cc5",
-            (1.0, 3, False): "632bfe71fac7c97b",
-            (1.0, 3, True): "a97c8348557f44e7",
+            (1.0, 3, False): "f5d37c9b12cd7ae1",
+            (1.0, 3, True): "4326557edb4d9784",
             (0.5, 1, False): "b8f2946e4998abb9",
             (0.5, 1, True): "3c87de6fde63ec6e",
             (0.5, 3, False): "cd5b368180f9ebf2",
@@ -306,6 +309,39 @@ class TestLastBlockTies:
         assert np.count_nonzero(low != high) == 0
         # some classes hold distinct states, which the swaps must not tell apart
         assert classes.shape[1] < np.unique(np.stack([a1, b1, a0, b0]), axis=1).shape[1]
+
+
+class TestExactSumAtLargerBlocks:
+    """Under an integer prior every block of size above 1 reads the exact sum of its state."""
+
+    @pytest.mark.parametrize("prior", [BetaPrior(1.0, 1.0), BetaPrior(2.0, 3.0)])
+    @pytest.mark.parametrize("tuned", [False, True])
+    def test_each_block_is_the_exact_sum_of_its_own_state(self, monkeypatch, prior, tuned):
+        # two chunks of different sizes: a value that depended on the chunk's
+        # path or on its other replicates would differ from the one-table sum
+        kernel = engine.beta_superiority_vec
+        calls = []
+
+        def spy(*args, carry=None, unit=None):
+            pi = kernel(*args, carry=carry, unit=unit)
+            calls.append((np.stack(args[:4]), pi.copy()))
+            return pi
+
+        monkeypatch.setattr(engine, "beta_superiority_vec", spy)
+        design = DesignConfig(40, 10, 3, 10, design=TunedBRAR() if tuned else StandardBRAR())
+        simulate_batch(
+            design, OutcomeModel(Bernoulli(0.6, 0.8)), prior, (), CHUNK_SIZE + 1696, seed=4
+        )
+        assert len(calls) == 2 * (design.num_blocks + 1)
+        for params, pi in calls:
+            states, inverse = np.unique(params, axis=1, return_inverse=True)
+            expected = np.array([
+                # symmetric states read exactly 1/2; others Altham's table, as the kernel maps it
+                0.5 if (a1 == a0 and b1 == b0) or (a1 == b1 and a0 == b0)
+                else hypergeom_upper_tail_scalar(a0 + a1 - 1, a0, b0 + b1 - 1, b0 - 1)
+                for a1, b1, a0, b0 in states.T.tolist()
+            ])
+            assert expected[inverse.ravel()].tobytes() == pi.tobytes()
 
 
 class TestDeterminism:

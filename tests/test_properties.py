@@ -328,9 +328,10 @@ def test_beta_carry_survives_long_lopsided_trials(per_call):
     assert abs(carried[0] - beta_superiority_vec(*params, table)[0]) < 1e-11
 
 
-def test_beta_carry_takes_the_exact_sum_when_it_is_shorter(monkeypatch):
-    # After 260 subjects at p 0.95 against 0.05, a 40-subject block brings
-    # about 80 unit steps, and the exact sum runs over a parameter near 10.
+def test_filled_carry_always_steps(monkeypatch):
+    # A 40-subject block after 260 subjects at p 0.95 against 0.05 brings
+    # about 80 unit steps onto parameters near 10, where the exact sum is
+    # short: the carry still steps, and never takes the sum.
     exact = models._beta_sup_exact
     sums = []
 
@@ -339,42 +340,23 @@ def test_beta_carry_takes_the_exact_sum_when_it_is_shorter(monkeypatch):
         return exact(*args)
 
     monkeypatch.setattr(models, "_beta_sup_exact", counted)
-    table = special.gammaln(np.arange(2048, dtype=np.float64))
     rng = np.random.default_rng(8)
     n = 400
     start = np.stack([
         rng.integers(100, 200, n), rng.integers(1, 10, n),
         rng.integers(1, 10, n), rng.integers(100, 200, n),
     ])
-    carry = BetaCarry()
-    beta_superiority_vec(*start, table, carry=carry)
-    # a block of one or two subjects: the carry steps
-    small = start + rng.integers(0, 2, (4, n))
-    sums.clear()
-    carried = beta_superiority_vec(*small, table, carry=carry)
-    assert not sums
-    assert np.max(np.abs(carried - exact(*small))) < 1e-11
-    # the 40-subject block: the exact sum, and the carry refilled from it
-    large = small + np.stack([
+    large = start + np.stack([
         rng.integers(36, 41, n), rng.integers(0, 3, n),
         rng.integers(0, 3, n), rng.integers(36, 41, n),
     ])
-    summed = beta_superiority_vec(*large, table, carry=carry)
-    assert len(sums) == 1
-    assert np.array_equal(summed, beta_superiority_vec(*large, table))
+    carry = BetaCarry()
+    beta_superiority_vec(*start, BETA_TABLE, carry=carry)
+    sums.clear()
+    carried = beta_superiority_vec(*large, BETA_TABLE, carry=carry)
+    assert not sums
+    assert np.max(np.abs(carried - exact(*large))) < 1e-11
     assert np.array_equal(carry.params, large)
-    assert np.array_equal(carry.log_g, models._beta_log_g(*large, table))
-    # and the next small block steps again, from the refilled carry
-    sums.clear()
-    after = large + rng.integers(0, 2, (4, n))
-    carried = beta_superiority_vec(*after, table, carry=carry)
-    assert not sums
-    assert np.max(np.abs(carried - exact(*after))) < 1e-11
-    # without a table, as under a real prior, the carry always steps
-    carry = beta_prior_carry(1, 1, n)
-    sums.clear()
-    beta_superiority_vec(*large, None, carry=carry)
-    assert not sums
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""No module of the package imports a name it never reads, or a slow module
-where it is not needed.
+"""No module of the package imports a name it never reads, or a slow module.
 
 No linter is part of the toolchain, so these stdlib ``ast`` passes stand in
 for the checks that refactors most often break: an import left behind, and
-``scipy.stats`` or ``scipy.integrate`` (about 0.8 s to import) brought back
-onto a path that a run takes.
+``scipy.stats`` or ``scipy.integrate`` (about 0.8 s to import), which no path
+of the package needs, brought back into ``src/``.
 """
 
 import ast
@@ -48,10 +47,8 @@ def test_no_unused_module_level_import(path):
 SLOW_MODULES = ("scipy.stats", "scipy.integrate")
 
 
-def slow_imports(
-    source: str, modules: tuple[str, ...] = SLOW_MODULES
-) -> list[tuple[str | None, tuple[str, ...]]]:
-    """(enclosing function, enclosing branches) of each import of one of ``modules``.
+def slow_imports(source: str) -> list[tuple[str | None, tuple[str, ...]]]:
+    """(enclosing function, enclosing branches) of each import of one of ``SLOW_MODULES``.
 
     A branch is the source of an enclosing ``if`` test, prefixed ``not ``
     inside its ``else`` part.
@@ -64,7 +61,7 @@ def slow_imports(
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module:
             names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
-        if any(n == m or n.startswith(m + ".") for n in names for m in modules):
+        if any(n == m or n.startswith(m + ".") for n in names for m in SLOW_MODULES):
             found.append((function, tuple(branches)))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
@@ -94,10 +91,8 @@ def test_slow_import_checker_sees_every_form():
     ]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
-def test_slow_modules_imported_only_for_beta_quadrature(path):
-    # scipy.stats nowhere; scipy.integrate only in the quadrature, which nothing calls
-    source = path.read_text(encoding="utf-8")
-    assert slow_imports(source, ("scipy.stats",)) == []
-    in_quadrature = [("_quadrature_superiority", ())] if path.name == "models.py" else []
-    assert slow_imports(source, ("scipy.integrate",)) == in_quadrature
+@pytest.mark.parametrize(
+    "path", sorted(PACKAGE.parent.rglob("*.py")), ids=lambda p: str(p.relative_to(PACKAGE.parent))
+)
+def test_slow_modules_imported_nowhere(path):
+    assert slow_imports(path.read_text(encoding="utf-8")) == []
