@@ -397,6 +397,8 @@ def simulate_batch(
     """
     if not 1 <= replicates <= MAX_REPLICATES:
         raise ConfigError(f"replicates must lie in [1, {MAX_REPLICATES}], got {replicates}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     validate_battery(design, model, prior, tests)
     sizes = [
         min(CHUNK_SIZE, replicates - start) for start in range(0, replicates, CHUNK_SIZE)

@@ -38,7 +38,7 @@ from scipy import special
 
 from .allocation import TrialTrajectory
 from .errors import ConfigError, DataError
-from .models import hypergeom_upper_tail, hypergeom_upper_tail_scalar
+from .models import check_bernoulli_counts, hypergeom_upper_tail, hypergeom_upper_tail_scalar
 
 
 @dataclass(frozen=True)
@@ -249,8 +249,7 @@ def fisher_exact_one_sided(n1: int, s1: int, n0: int, s0: int) -> float:
     Conditional on the table margins, P(S1 >= s1) under the hypergeometric
     distribution: the vector kernel's sum on one table, bit for bit.
     """
-    if not (0 <= s1 <= n1 and 0 <= s0 <= n0):
-        raise DataError("success counts must lie in [0, n] per arm")
+    check_bernoulli_counts(n1, s1, n0, s0)
     return hypergeom_upper_tail_scalar(n1, s1, n0, s0)
 
 

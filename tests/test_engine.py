@@ -456,6 +456,13 @@ class TestBatteryValidation:
         with pytest.raises(ConfigError, match="replicates must lie in"):
             simulate_batch(design, model, PRIOR, (), engine.MAX_REPLICATES + 1, seed=0)
 
+    def test_negative_seed_rejected(self):
+        # NumPy's SeedSequence raised a bare ValueError
+        design = DesignConfig(20, 10, 1, 10)
+        model = OutcomeModel(Exponential(1.0, 1.0))
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            simulate_batch(design, model, PRIOR, (), 100, seed=-1)
+
 
 class TestFisherAgainstScipy:
     @pytest.mark.parametrize("equal", [False, True], ids=["standard", "er"])

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from aptest import models
 from aptest.errors import ConfigError, DataError, NumericalError
 from aptest.models import (
     ArmPosterior,
@@ -22,7 +21,7 @@ from aptest.models import (
     NormalKnownVar,
     NormalPrior,
     OutcomeModel,
-    beta_posterior,
+    PosteriorState,
     beta_superiority_vec,
     gamma_superiority_vec,
     initial_posterior,
@@ -137,6 +136,12 @@ class TestPosteriorUpdating:
         b = update_posterior(update_posterior(b, 1, 1.5), 1, 0.5)
         assert a == b
 
+    def test_bernoulli_state_needs_counts_a_trial_can_have(self):
+        with pytest.raises(DataError, match="whole"):
+            PosteriorState("bernoulli", ArmPosterior(5.5, 2.0), ArmPosterior(5, 2.0))
+        with pytest.raises(DataError, match="whole"):
+            PosteriorState("bernoulli", ArmPosterior(5, 2.0), ArmPosterior(3, 5.0))
+
     def test_incompatible_outcomes_rejected(self):
         with pytest.raises(DataError):
             update_posterior(initial_posterior("bernoulli"), 0, 0.5)
@@ -247,25 +252,22 @@ class TestBetaSuperiority:
             assert abs(direct - swapped) < 1e-12
             assert abs(direct - mirrored) < 1e-12
 
-    # the term-ratio sum reads 0.6127929687500002 and 0.5000000230772002 under
-    # Beta(1, 1), and 0.62304687 under Jeffreys' prior, where a trial carry
-    # that rounds 2.5 successes to 2 whole steps read 0.61711085
+    # arms that no trial has: more successes than subjects, a negative count,
+    # counts that are not whole.  Under Beta(1, 1) 5 of 3 read
+    # 0.999999999999999 and the others took a carry seeded off the prior;
+    # under Jeffreys' prior the first two raised the carry's ValueError
     @pytest.mark.parametrize(
-        "prior, total",
-        [(BetaPrior(1.0, 1.0), 2.5), (BetaPrior(1.0, 1.0), 2.0000001), (BetaPrior(0.5, 0.5), 2.5)],
+        "arm",
+        [ArmPosterior(3, 5.0), ArmPosterior(-1, 0.0), ArmPosterior(5.5, 2.0), ArmPosterior(5, 2.5)],
     )
-    def test_non_whole_success_count_steps_a_carry(self, monkeypatch, prior, total):
-        # ArmPosterior does not check that a success count is whole.  Cast to
-        # integers, (3.0000001, 3.9999999) against (3, 4) reads 0.6082, not
-        # 0.5000000231, so such a posterior must take a carry that reaches it.
-        def whole_only(*params):
-            raise AssertionError(f"the exact sum was given {params}")
-
-        monkeypatch.setattr(models, "hypergeom_upper_tail_scalar", whole_only)
-        exp, ctrl = ArmPosterior(5, total), ArmPosterior(5, 2.0)
-        params = (*beta_posterior(prior, exp), *beta_posterior(prior, ctrl))
-        p = superiority_probability(exp, ctrl, prior, carry=trial_beta_carry(prior))
-        assert abs(p - beta_superiority_closed(*params)) < 1e-12
+    @pytest.mark.parametrize("prior", [BetaPrior(1.0, 1.0), BetaPrior(0.5, 0.5)])
+    @pytest.mark.parametrize("carried", [False, True])
+    def test_arms_that_no_trial_has_raise(self, arm, prior, carried):
+        carry = trial_beta_carry(prior) if carried else None
+        with pytest.raises(DataError, match="whole"):
+            superiority_probability(arm, ArmPosterior(5, 2.0), prior, carry=carry)
+        with pytest.raises(DataError, match="whole"):
+            superiority_probability(ArmPosterior(5, 2.0), arm, prior, carry=carry)
 
     @pytest.mark.parametrize("prior", [BetaPrior(1.0, 1.0), BetaPrior(0.5, 0.5)])
     def test_non_whole_success_counts_that_no_carry_reaches_raise(self, prior):

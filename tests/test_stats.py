@@ -174,8 +174,11 @@ class TestFisherExact:
             assert 0.0 < p <= 1.0
 
     def test_invalid_counts_rejected(self):
-        with pytest.raises(DataError):
-            fisher_exact_one_sided(3, 4, 3, 0)
+        # more successes than subjects, or counts that are not whole: 2.5 of
+        # 10 read 0.7735
+        for table in [(3, 4, 3, 0), (10, 2.5, 10, 3), (10.5, 2, 10, 3)]:
+            with pytest.raises(DataError):
+                fisher_exact_one_sided(*table)
 
     @pytest.mark.parametrize("s1", [40, 100, 700, 760, 1000, 1200])
     def test_large_lopsided_tables(self, s1):
