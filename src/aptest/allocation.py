@@ -12,12 +12,13 @@ fair coin for the odd one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .models import (
     ArmPosterior,
     NormalKnownVar,
@@ -199,6 +200,12 @@ def simulate_trial(
             counts[arm] += 1
             totals[arm] += y
             ys.append(y)
+        if not (math.isfinite(totals[0]) and math.isfinite(totals[1])):
+            # finite draws whose sum overflows: a numerical failure, where the
+            # arm rules would read an inf total as data no trial has
+            raise NumericalError(
+                f"outcome total drawn from the {model.kind} model is not finite: {totals}"
+            )
         allocations.append(arms)
         outcomes.append(np.array(ys, dtype=np.float64))
 

@@ -7,12 +7,14 @@ processes, and independent of worker count.  Within a chunk the per-block
 work is pure array arithmetic; only sufficient statistics are tracked, so
 memory stays O(chunk) regardless of trial length.
 
-The per-block random stream order is: allocation counts, experimental-arm
-outcome sums, control-arm outcome sums.  An adaptive block of size 1 gives
-each replicate one subject, so it draws one array after the allocations
-(uniform, standard exponential or standard normal, by family) and maps each
-replicate's value through the parameters of the arm its subject went to.
-The burn-in, blocks of size above 1 and equal randomization draw both arms.
+The per-block random stream order is: allocation counts (one uniform per
+replicate, inverted as NumPy's binomial does, for blocks of up to 60
+subjects), experimental-arm outcome sums, control-arm outcome sums.  An
+adaptive block of size 1 gives each replicate one subject, so it draws one
+array after the allocations (uniform, standard exponential or standard
+normal, by family) and maps each replicate's value through the parameters
+of the arm its subject went to.  The burn-in, blocks of size above 1 and
+equal randomization draw both arms.
 
 At more than one thread every chunk runs on one process pool that lives for
 the whole process (``shared_pool``), so several batches can share it.
@@ -66,6 +68,12 @@ CHUNK_SIZE = 16384
 #: Ceiling on a batch's replicates: a sanity check, not an option.  1e8
 #: replicates hold 0.8 GB per statistic.
 MAX_REPLICATES = 10**8
+
+#: Largest block size whose allocation counts ``_allocation_counts`` inverts
+#: itself.  NumPy's ``Generator.binomial(n, p)`` inverts one uniform when
+#: n * min(p, 1 - p) <= 30, which holds at every p when n <= 60; above that
+#: it switches to BTPE rejection, which draws a varying number of uniforms.
+INVERSION_MAX_BLOCK = 60
 
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
@@ -237,7 +245,49 @@ def _per_arm(control: float, experimental: float, k1: np.ndarray) -> np.ndarray:
     return np.array([control, experimental]).take(k1)
 
 
+def _allocation_counts(B: int, pi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Experimental-arm subjects of each replicate's block of B: ``rng.binomial(B, pi)``.
+
+    Up to ``INVERSION_MAX_BLOCK`` this is NumPy's inversion branch over the
+    whole chunk at once: one uniform per replicate, searched through the
+    Binomial(B, p') CDF at p' = min(pi, 1 - pi), and mapped back to B - k
+    where pi > 1/2 (pi = 1/2 keeps the p' = pi side, as NumPy does).  It takes
+    the same uniforms and gives the same counts.  They could differ only
+    where a uniform lies within rounding of a CDF step, as NumPy subtracts
+    each term from u and forms the terms in another order, or where a count
+    lies ten standard deviations above its mean, where NumPy draws again.
+    NumPy draws no uniform at pi = 0 or 1, which oriented and tuned
+    probabilities never reach.
+    """
+    if B > INVERSION_MAX_BLOCK:
+        return rng.binomial(B, pi)
+    u = rng.random(pi.size)
+    p = np.minimum(pi, 1.0 - pi)
+    q = 1.0 - p
+    ratio = p / q
+    term = np.exp(B * np.log(q))  # NumPy's first term, exp(n log q)
+    cdf = term.copy()
+    # counts up to 60 fit int8; adding the comparisons as int8 (a view of
+    # the bools, which hold 0 or 1) keeps the sum a same-type loop
+    k = np.zeros(pi.size, dtype=np.int8)
+    above = np.empty(pi.size, dtype=bool)
+    for j in range(1, B + 1):
+        np.greater(u, cdf, out=above)
+        if not above.any():  # every search has stopped
+            break
+        k += above.view(np.int8)
+        if j < B:
+            term *= ratio
+            term *= (B - j + 1) / j
+            cdf += term
+    k1 = k.astype(np.int64)
+    np.subtract(B, k1, out=k1, where=pi > 0.5)
+    return k1
+
+
 def _outcome_sums(model: OutcomeModel, arm: int, counts: np.ndarray, rng) -> np.ndarray:
+    # Bernoulli sums keep rng.binomial: NumPy draws no uniform for a count
+    # of 0, so a vector inversion would shift the stream
     fam = model.family
     if model.kind == "exponential":
         rate = fam.rate_experimental if arm == 1 else fam.rate_control
@@ -291,7 +341,7 @@ def _simulate_chunk(
             if B == 1:
                 post.absorb_one((rng.random(size) < pi).astype(np.int64), rng)
             else:
-                k1 = rng.binomial(B, pi)
+                k1 = _allocation_counts(B, pi, rng)
                 post.absorb(k1, B - k1, rng)
 
         # Hypothetical final block: untuned posterior probability from all data,

@@ -45,6 +45,9 @@ SMALLER = "smaller"
 
 # Open-interval clamp for probabilities that feed log/power transforms.
 PROB_FLOOR = 1e-15
+_PROB_CEIL = 1.0 - PROB_FLOOR
+
+_INF = math.inf  # the arm rules read a global faster than ``math.inf``
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +239,10 @@ class PosteriorState:
     experimental: ArmPosterior
 
     def __post_init__(self) -> None:
-        if self.kind not in ("exponential", "bernoulli", "normal"):
+        check = _ARM_RULES.get(self.kind)
+        if check is None:
             raise ConfigError(f"unknown outcome family {self.kind!r}")
-        if self.kind == "bernoulli":
-            check_bernoulli_counts(*self.experimental, *self.control)
-        for arm in (self.control, self.experimental):
-            if arm.n < 0:
-                raise ConfigError("arm count cannot be negative")
-            if self.kind == "exponential" and arm.total < 0:
-                raise ConfigError("total time must be nonnegative")
+        check(*self.experimental, *self.control)
 
     def arm(self, a: int) -> ArmPosterior:
         return self.experimental if a == 1 else self.control
@@ -257,6 +255,43 @@ def check_bernoulli_counts(n1, s1, n0, s0) -> None:
         raise DataError(
             f"Bernoulli counts must be whole, with 0 <= s <= n: got {s1} of {n1}, {s0} of {n0}"
         )
+
+
+def check_exponential_counts(n1, t1, n0, t0) -> None:
+    """Raise DataError unless each arm is one a trial can have: a whole count
+    n >= 0 and a finite total time t, > 0 when n > 0 and 0 when n = 0."""
+    # inline tests, as in check_bernoulli_counts; a negative n fails ``0 == n``
+    if (
+        n1 % 1 or n0 % 1
+        or not (0 < t1 < _INF if n1 > 0 else t1 == 0 == n1)
+        or not (0 < t0 < _INF if n0 > 0 else t0 == 0 == n0)
+    ):
+        raise DataError(
+            "exponential arms need a whole count n >= 0 and a finite total time, "
+            f"> 0 when n > 0 and 0 when n = 0: got {t1} over {n1}, {t0} over {n0}"
+        )
+
+
+def check_normal_counts(n1, y1, n0, y0) -> None:
+    """Raise DataError unless each arm is one a trial can have: a whole count
+    n >= 0 and a finite response sum y, 0 when n = 0."""
+    if (
+        n1 % 1 or n0 % 1
+        or not (-_INF < y1 < _INF if n1 > 0 else y1 == 0 == n1)
+        or not (-_INF < y0 < _INF if n0 > 0 else y0 == 0 == n0)
+    ):
+        raise DataError(
+            "normal arms need a whole count n >= 0 and a finite response sum, "
+            f"0 when n = 0: got {y1} over {n1}, {y0} over {n0}"
+        )
+
+
+#: Each family's rule for the arms a trial can have, by ``OutcomeModel.kind``.
+_ARM_RULES = {
+    "exponential": check_exponential_counts,
+    "bernoulli": check_bernoulli_counts,
+    "normal": check_normal_counts,
+}
 
 
 def initial_posterior(kind: str) -> PosteriorState:
@@ -726,8 +761,9 @@ def oriented_probability(larger, direction: str):
         )
     p = larger if direction == LARGER else 1.0 - larger
     if scalar:
-        return min(max(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
-    return np.minimum(np.maximum(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
+        # min(max(p, PROB_FLOOR), 1 - PROB_FLOOR) without two builtin calls
+        return PROB_FLOOR if p < PROB_FLOOR else _PROB_CEIL if p > _PROB_CEIL else p
+    return np.minimum(np.maximum(p, PROB_FLOOR), _PROB_CEIL)
 
 
 def is_integral(x: float) -> bool:
@@ -765,12 +801,14 @@ def superiority_probability(
 ) -> float:
     """Posterior probability that the experimental arm's parameter is better.
 
-    Gamma and normal posteriors use their closed forms for any parameters.
-    Beta posteriors raise DataError on counts no trial has (``check_bernoulli_counts``);
-    under an ``integral`` prior they take the engine's exact sum with its bits,
-    and under any other they step ``carry``, a filled one-element ``BetaCarry``
-    (``trial_beta_carry``), by Cook's recurrences from its last call, or a
-    fresh carry from the prior if there is none.  Symmetric beta pairs give
+    Every family raises DataError on arms no trial has
+    (``check_exponential_counts``, ``check_bernoulli_counts``,
+    ``check_normal_counts``).  Gamma and normal posteriors use their closed
+    forms.  Beta posteriors under an ``integral`` prior take the engine's
+    exact sum with its bits, and under any other they step ``carry``, a
+    filled one-element ``BetaCarry`` (``trial_beta_carry``), by Cook's
+    recurrences from its last call, or a fresh carry from the prior if
+    there is none.  Symmetric beta pairs give
     exactly 0.5, as in ``beta_superiority_vec``.  For the normal family
     ``sds`` must supply the known (control, experimental) outcome standard
     deviations.
@@ -778,10 +816,9 @@ def superiority_probability(
     The returned value is clamped to the open interval (0, 1).
     """
     if isinstance(prior, GammaPrior):
+        check_exponential_counts(post_exp.n, post_exp.total, post_ctrl.n, post_ctrl.total)
         a1, b1 = gamma_posterior(prior, post_exp)
         a0, b0 = gamma_posterior(prior, post_ctrl)
-        if b1 <= 0 or b0 <= 0:
-            raise DataError("gamma posterior rate is not positive")
         larger = gamma_superiority_vec(a1, b1, a0, b0)
     elif isinstance(prior, BetaPrior):
         check_bernoulli_counts(post_exp.n, post_exp.total, post_ctrl.n, post_ctrl.total)
@@ -800,10 +837,12 @@ def superiority_probability(
     elif isinstance(prior, NormalPrior):
         if sds is None:
             raise ConfigError("normal superiority requires known outcome sds")
+        check_normal_counts(post_exp.n, post_exp.total, post_ctrl.n, post_ctrl.total)
         larger = normal_superiority_vec(
             *normal_posterior(prior, post_exp, sds[1]),
             *normal_posterior(prior, post_ctrl, sds[0]),
         )
     else:
         raise ConfigError(f"unknown prior type {type(prior).__name__}")
-    return float(oriented_probability(larger, direction))
+    # a Python float, not a NumPy scalar, makes the clamp's comparisons cheap
+    return oriented_probability(float(larger), direction)

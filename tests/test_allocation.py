@@ -122,7 +122,8 @@ class TestSimulateTrial:
 
     def test_non_finite_probability_raises(self):
         # each outcome near 1e308 is finite, but both burn-in arm totals
-        # overflow to inf, so the posterior means differ by inf - inf
+        # overflow to inf: a numerical failure, though an inf total given as
+        # data is a DataError (test_models)
         model = OutcomeModel(NormalKnownVar(1.0e308, 1.0e308, 1.0, 1.0))
         with pytest.raises(NumericalError, match="not finite"):
             simulate_trial(small_design(), model, NormalPrior(0.0, 1.0), derive_rng(4))

@@ -23,6 +23,7 @@ from aptest.engine import CHUNK_SIZE, derive_rng, simulate_batch
 from aptest.errors import ConfigError, NumericalError
 from aptest.harness import equal_randomization_design
 from aptest.models import (
+    PROB_FLOOR,
     ArmPosterior,
     Bernoulli,
     BetaPrior,
@@ -248,6 +249,30 @@ class TestGoldenPin:
         },
     }
 
+    #: exponential outcomes at blocks of 10: gamma-kernel probabilities and
+    #: the allocation counts of ``engine._allocation_counts``, by ``tuned``
+    EXPONENTIAL_DIGESTS = {
+        ("X86_V4", "X86_V4", "X86_V4"): {False: "24720d02502c308f", True: "dc01fd49245eb347"},
+        ("X86_V3", "X86_V3", "baseline(X86_V2)"): {
+            False: "8050437586ced98d",
+            True: "668bdce3a1e9ade8",
+        },
+    }
+
+    @staticmethod
+    def digest(result) -> str:
+        digest = hashlib.sha256()
+        for name in sorted(result.statistics):
+            digest.update(result.statistics[name].tobytes())
+        digest.update(result.n_experimental.tobytes())
+        return digest.hexdigest()[:16]
+
+    @staticmethod
+    def level(digests) -> tuple[str, ...]:
+        level = dispatch_level()
+        assert level in digests, f"no digests recorded at NumPy dispatch level {level}"
+        return level
+
     @pytest.mark.parametrize("prior_param, block_size, tuned", sorted(DIGESTS[("X86_V4",) * 3]))
     def test_statistics_keep_their_bytes(self, prior_param, block_size, tuned):
         design = DesignConfig(
@@ -261,13 +286,73 @@ class TestGoldenPin:
             design, OutcomeModel(Bernoulli(0.6, 0.8)), BetaPrior(prior_param, prior_param),
             tests, 2000, seed=7,
         )
-        digest = hashlib.sha256()
-        for name in sorted(result.statistics):
-            digest.update(result.statistics[name].tobytes())
-        digest.update(result.n_experimental.tobytes())
-        level = dispatch_level()
-        assert level in self.DIGESTS, f"no digests recorded at NumPy dispatch level {level}"
-        assert digest.hexdigest()[:16] == self.DIGESTS[level][(prior_param, block_size, tuned)]
+        key = (prior_param, block_size, tuned)
+        assert self.digest(result) == self.DIGESTS[self.level(self.DIGESTS)][key]
+
+    @pytest.mark.parametrize("tuned", [False, True])
+    def test_exponential_blocks_of_ten_keep_their_bytes(self, tuned):
+        design = DesignConfig(100, 10, 10, 9, design=TunedBRAR() if tuned else StandardBRAR())
+        tests = (
+            original_ap_test(), timedirect_ap_test(), lastblock_ap_test(),
+            ComparatorTest("lr", "lr"),
+        )
+        result = simulate_batch(
+            design, OutcomeModel(Exponential(1.0, 1.5)), PRIOR, tests, 2000, seed=7
+        )
+        level = self.level(self.EXPONENTIAL_DIGESTS)
+        assert self.digest(result) == self.EXPONENTIAL_DIGESTS[level][tuned]
+
+
+class TestAllocationCounts:
+    """Blocks of up to 60 subjects invert one uniform each, as NumPy's binomial does."""
+
+    @staticmethod
+    def probabilities() -> np.ndarray:
+        rng = np.random.default_rng(27)
+        tails = np.logspace(-15, np.log10(0.5), 400)
+        half = np.array([np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0)])
+        pi = np.concatenate([
+            rng.random(2000), tails, 1.0 - tails, np.repeat(half, 200),
+            np.repeat([PROB_FLOOR, 1.0 - PROB_FLOOR], 50),
+        ])
+        rng.shuffle(pi)
+        return pi
+
+    def test_counts_and_stream_equal_numpy_binomial(self):
+        pi = self.probabilities()
+        for B in range(2, engine.INVERSION_MAX_BLOCK + 1):
+            ours, numpys = derive_rng(11, B), derive_rng(11, B)
+            k1 = engine._allocation_counts(B, pi, ours)
+            expected = numpys.binomial(B, pi)
+            assert k1.dtype == expected.dtype
+            assert np.array_equal(k1, expected), f"B={B}: {np.sum(k1 != expected)} counts differ"
+            assert ours.random() == numpys.random(), f"B={B}: the streams part"
+
+    @pytest.mark.parametrize("block_size", [10, 61, 100])
+    def test_blocks_above_sixty_keep_numpy_binomial(self, monkeypatch, block_size):
+        # NumPy's BTPE branch draws a varying number of uniforms, so larger
+        # blocks stay with it; exponential outcomes draw no binomial of their own
+        calls = []
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def binomial(self, n, p):
+                calls.append(n)
+                return self.rng.binomial(n, p)
+
+        derive = engine.derive_rng
+        monkeypatch.setattr(engine, "derive_rng", lambda *key: Spy(derive(*key)))
+        design = DesignConfig(10 + 3 * block_size, 10, block_size, 3)
+        simulate_batch(
+            design, OutcomeModel(Exponential(1.0, 1.5)), PRIOR, (lastblock_ap_test(),), 300, seed=1
+        )
+        expected = [block_size] * 3 if block_size > engine.INVERSION_MAX_BLOCK else []
+        assert calls == expected
 
 
 class TestLastBlockTies:

@@ -153,6 +153,48 @@ class TestPosteriorUpdating:
             update_posterior(initial_posterior("exponential"), 0, float("inf"))
 
 
+# arms no trial has: a count that is not whole, a negative count, a total
+# without subjects, no time over four subjects (exponential only: responses
+# can sum to 0) and an overflowed total.  Under Gamma(1, 0.001) the first
+# read 0.558, and a negative count raised NumericalError
+_ARMS_NO_TRIAL_HAS = [
+    (kind, arm)
+    for kind in ("exponential", "normal")
+    for arm in (
+        ArmPosterior(5.5, 2.0), ArmPosterior(-3, 1.0), ArmPosterior(0, 1.0),
+        ArmPosterior(4, 0.0), ArmPosterior(4, math.inf),
+    )
+    if kind == "exponential" or arm != (4, 0.0)
+]
+
+
+class TestArmsNoTrialHas:
+    """Gamma and normal posteriors take only arms a trial can have, as beta ones do."""
+
+    PRIORS = {"exponential": GammaPrior(1.0, 0.001), "normal": NormalPrior(0.0, 100.0)}
+
+    @pytest.mark.parametrize("kind, arm", _ARMS_NO_TRIAL_HAS, ids=str)
+    def test_superiority_raises(self, kind, arm):
+        other = ArmPosterior(5, 2.0)
+        for exp, ctrl in ((arm, other), (other, arm)):
+            with pytest.raises(DataError, match=f"{kind} arms need a whole count"):
+                superiority_probability(exp, ctrl, self.PRIORS[kind], sds=(1.0, 1.0))
+
+    @pytest.mark.parametrize("kind, arm", _ARMS_NO_TRIAL_HAS, ids=str)
+    def test_posterior_state_raises(self, kind, arm):
+        other = ArmPosterior(5, 2.0)
+        for exp, ctrl in ((arm, other), (other, arm)):
+            with pytest.raises(DataError, match=f"{kind} arms need a whole count"):
+                PosteriorState(kind, ctrl, exp)
+
+    def test_normal_responses_may_sum_to_zero_or_below(self):
+        state = PosteriorState("normal", ArmPosterior(4, 0.0), ArmPosterior(3, -1.5))
+        p = superiority_probability(
+            state.experimental, state.control, self.PRIORS["normal"], sds=(1.0, 1.0)
+        )
+        assert 0.0 < p < 1.0
+
+
 class TestGammaSuperiority:
     def test_identical_posteriors_give_half(self):
         p = superiority_probability(
@@ -201,7 +243,7 @@ class TestGammaSuperiority:
             assert scaled == base
 
     def test_overflowed_totals_raise(self):
-        with pytest.raises(NumericalError, match="not finite"):
+        with pytest.raises(DataError, match="finite total time"):
             superiority_probability(
                 ArmPosterior(3, math.inf), ArmPosterior(3, math.inf), GammaPrior(1.0, 0.001)
             )
@@ -341,8 +383,9 @@ class TestSuperiorityProperties:
     def test_symmetry(self, rng):
         prior = GammaPrior(1.0, 0.001)
         for _ in range(50):
-            a = ArmPosterior(int(rng.integers(0, 40)), float(rng.uniform(0, 30)))
-            b = ArmPosterior(int(rng.integers(0, 40)), float(rng.uniform(0, 30)))
+            # arms a trial can have: time accrues only with subjects
+            a = ArmPosterior(int(rng.integers(1, 40)), float(rng.uniform(0, 30)))
+            b = ArmPosterior(int(rng.integers(1, 40)), float(rng.uniform(0, 30)))
             p_ab = superiority_probability(a, b, prior)
             p_ba = superiority_probability(b, a, prior)
             assert abs(p_ab + p_ba - 1.0) < 1e-12

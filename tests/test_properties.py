@@ -42,8 +42,13 @@ gamma_priors = st.builds(GammaPrior, st.floats(0.3, 5.0), st.floats(0.001, 2.0))
 beta_priors = st.builds(BetaPrior, st.integers(1, 3).map(float), st.integers(1, 3).map(float))
 normal_priors = st.builds(NormalPrior, st.floats(-1.0, 1.0), st.floats(0.1, 100.0))
 sd_pairs = st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 3.0))
-time_arms = st.builds(ArmPosterior, st.integers(0, 60), st.floats(0.0, 50.0))
-response_arms = st.builds(ArmPosterior, st.integers(0, 60), st.floats(-50.0, 50.0))
+# arms a trial can have: no outcome sum without a subject, and a positive total time with one
+time_arms = st.integers(0, 60).flatmap(
+    lambda n: st.builds(ArmPosterior, st.just(n), st.floats(0.0, 50.0, exclude_min=True) if n else st.just(0.0))
+)
+response_arms = st.integers(0, 60).flatmap(
+    lambda n: st.builds(ArmPosterior, st.just(n), st.floats(-50.0, 50.0) if n else st.just(0.0))
+)
 
 
 @st.composite
@@ -93,6 +98,7 @@ def test_beta_monotone_in_successes(prior, exp, ctrl):
 @given(gamma_priors, time_arms, time_arms, st.floats(0.0, 20.0))
 def test_gamma_monotone_in_total_time(prior, exp, ctrl, extra):
     # a longer total time on the experimental arm means a lower rate estimate
+    assume(exp.n > 0)  # an arm without subjects has no time to lengthen
     longer = ArmPosterior(exp.n, exp.total + extra)
     assert superiority_probability(longer, ctrl, prior) <= superiority_probability(
         exp, ctrl, prior
