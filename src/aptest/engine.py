@@ -36,6 +36,7 @@ from .models import (
     ArmPosterior,
     BetaCarry,
     BetaPrior,
+    GammaCarry,
     GammaPrior,
     NormalKnownVar,
     OutcomeModel,
@@ -137,7 +138,7 @@ class _PosteriorVec:
         self.s1 = np.zeros(size, dtype=dtype)
         self.s0 = np.zeros(size, dtype=dtype)
         self._table: np.ndarray | None = None
-        self._carry: BetaCarry | None = None
+        self._carry: BetaCarry | GammaCarry | None = None
         # (arm, outcome) of each replicate's one subject since the last
         # superiority call, when absorb_one has just run
         self._unit: tuple[np.ndarray, np.ndarray] | None = None
@@ -155,6 +156,9 @@ class _PosteriorVec:
             else:
                 # no exact sum exists: the carry starts at the prior
                 self._carry = beta_prior_carry(prior.alpha, prior.beta, size)
+        elif isinstance(prior, GammaPrior):
+            # betainc fills the carry at the first block; later blocks step it
+            self._carry = GammaCarry(prior.shape)
         if isinstance(model.family, NormalKnownVar):
             self._sds = (model.family.sd_control, model.family.sd_experimental)
             # each arm's posterior variance at every count 0..N, looked up per block
@@ -166,7 +170,9 @@ class _PosteriorVec:
     def superiority(self, exact: bool = False) -> np.ndarray:
         """P(experimental better) per replicate.
 
-        Beta posteriors step the chunk's carry from the previous call.  They
+        Gamma posteriors step the chunk's carry from the previous call, and
+        take ``betainc`` with ``exact``, which leaves the carry alone.  Beta
+        posteriors step the chunk's carry from the previous call.  They
         take the exact sum where there is no carry (an integer prior at
         blocks of size above 1), and with ``exact`` under an integer prior,
         which leaves the carry alone.  After ``absorb_one`` the carry takes
@@ -177,7 +183,11 @@ class _PosteriorVec:
         exp = ArmPosterior(self.n1, self.s1)
         ctrl = ArmPosterior(self.n0, self.s0)
         if isinstance(prior, GammaPrior):
-            pi = gamma_superiority_vec(*gamma_posterior(prior, exp), *gamma_posterior(prior, ctrl))
+            pi = gamma_superiority_vec(
+                *gamma_posterior(prior, exp),
+                *gamma_posterior(prior, ctrl),
+                carry=None if exact else self._carry,
+            )
         elif isinstance(prior, BetaPrior):
             pi = beta_superiority_vec(
                 *beta_posterior(prior, exp),
@@ -227,12 +237,12 @@ class _PosteriorVec:
         self.s0 += y - y1  # exactly y where k1 is 0 and 0 where it is 1
         self.n1 += k1
         self.n0 += 1 - k1
-        if self._carry is not None:
+        if isinstance(self._carry, BetaCarry):
             self._unit = (k1, y)
 
     def check(self) -> None:
         """Raise ValueError unless the beta carry's unit steps met the posteriors."""
-        if self._carry is not None:
+        if isinstance(self._carry, BetaCarry):
             self._carry.check()
 
 

@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -17,6 +18,7 @@ from aptest.allocation import (
     StandardBRAR,
     TunedBRAR,
     simulate_trial,
+    sized_design,
     tune_probability,
 )
 from aptest.engine import CHUNK_SIZE, derive_rng, simulate_batch
@@ -48,6 +50,7 @@ from aptest.stats import (
     timedirect_ap_test,
 )
 from tests.beta_oracle import beta_superiority_closed
+from tests.test_properties import GAMMA_CARRY_TOLERANCE
 
 PRIOR = GammaPrior(1.0, 0.001)
 
@@ -204,6 +207,78 @@ class TestBetaCarry:
             simulate_batch(design, OutcomeModel(Bernoulli(0.6, 0.8)), prior, (), 500, seed=2)
 
 
+class TestGammaCarry:
+    """The engine's carried gamma kernel against ``betainc`` on each block's posterior."""
+
+    @pytest.mark.parametrize(
+        "total_n, burn_in, block_size, replicates",
+        [(121, 12, 1, 2000), (1000, 10, 1, 400), (2000, 10, 1, 200), (500, 50, 10, 2000)],
+    )
+    @pytest.mark.parametrize("tuned", [False, True])
+    @pytest.mark.parametrize("rate", [1.0, 1.5])
+    def test_every_block_follows_betainc(
+        self, monkeypatch, total_n, burn_in, block_size, replicates, tuned, rate
+    ):
+        kernel = engine.gamma_superiority_vec
+        worst = []  # (error, a0, a1, x, carried value) of each carried block's worst element
+        calls = []
+
+        def spy(a1, b1, a0, b0, carry=None):
+            pi = kernel(a1, b1, a0, b0, carry=carry)
+            x = b0 / (b0 + b1)
+            expected = special.betainc(a0, a1, x)
+            calls.append(carry is not None)
+            if carry is None:
+                assert pi.tobytes() == expected.tobytes()  # block T+1
+            else:
+                error = np.abs(pi - expected)
+                assert error.max() <= GAMMA_CARRY_TOLERANCE
+                i = int(error.argmax())
+                worst.append((error[i], a0[i], a1[i], x[i], pi[i]))
+            return pi
+
+        monkeypatch.setattr(engine, "gamma_superiority_vec", spy)
+        design = sized_design(
+            total_n, burn_in, block_size, TunedBRAR() if tuned else StandardBRAR()
+        )
+        model = OutcomeModel(Exponential(1.0, rate))
+        simulate_batch(design, model, PRIOR, (), replicates, seed=5)
+        assert calls == [True] * design.num_blocks + [False]
+        # mpmath at 40 digits referees the six worst elements
+        with mpmath.workdps(40):
+            for _, a0, a1, x, pi in sorted(worst, key=lambda w: w[0])[-6:]:
+                exact = mpmath.betainc(float(a0), float(a1), 0, float(x), regularized=True)
+                assert abs(pi - float(exact)) <= GAMMA_CARRY_TOLERANCE
+
+    @pytest.mark.parametrize("total_n, burn_in, block_size", [(300, 10, 1), (500, 50, 10)])
+    @pytest.mark.parametrize("tuned", [False, True])
+    def test_allocations_and_final_statistics_keep_their_bits(
+        self, monkeypatch, total_n, burn_in, block_size, tuned
+    ):
+        # the reference run ignores the carry, so every block takes betainc;
+        # the N = 300 trial passes two refills of the carry
+        design = sized_design(
+            total_n, burn_in, block_size, TunedBRAR() if tuned else StandardBRAR()
+        )
+        model = OutcomeModel(Exponential(1.0, 1.4))
+        tests = (
+            original_ap_test(), timedirect_ap_test(), lastblock_ap_test(),
+            ComparatorTest("lr", "lr"),
+        )
+        carried = simulate_batch(design, model, PRIOR, tests, 3000, seed=13)
+        kernel = engine.gamma_superiority_vec
+        monkeypatch.setattr(
+            engine, "gamma_superiority_vec", lambda *args, carry=None: kernel(*args)
+        )
+        reference = simulate_batch(design, model, PRIOR, tests, 3000, seed=13)
+        assert carried.n_experimental.tobytes() == reference.n_experimental.tobytes()
+        for name in ("original", "lastblock", "lr"):
+            assert carried.statistics[name].tobytes() == reference.statistics[name].tobytes()
+        np.testing.assert_allclose(
+            carried.statistics["timedirect"], reference.statistics["timedirect"], rtol=1e-11
+        )
+
+
 def dispatch_level() -> tuple[str, ...]:
     """The CPU targets of NumPy's float64 exp, log and power loops in this process.
 
@@ -249,13 +324,74 @@ class TestGoldenPin:
         },
     }
 
-    #: exponential outcomes at blocks of 10: gamma-kernel probabilities and
-    #: the allocation counts of ``engine._allocation_counts``, by ``tuned``
+    #: exponential outcomes, by (block size, tuned): the allocation counts of
+    #: ``engine._allocation_counts`` at blocks of 10, and gamma-kernel
+    #: probabilities, each statistic by name.  ``n_experimental``, ``original``,
+    #: ``lastblock`` and ``lr`` keep the digests they had while every block took
+    #: ``betainc``.  The gamma carry moved ``timedirect``, which sums every
+    #: block's carried probability, by rounding (at most about 1e-11 relative),
+    #: so its digests are new; the carry leaves block T+1, and so ``lastblock``,
+    #: on ``betainc``
     EXPONENTIAL_DIGESTS = {
-        ("X86_V4", "X86_V4", "X86_V4"): {False: "24720d02502c308f", True: "dc01fd49245eb347"},
+        ("X86_V4", "X86_V4", "X86_V4"): {
+            (10, False): {
+                "n_experimental": "95482ac0fa4e5037",
+                "original": "8637dc401e16fe4a",
+                "lastblock": "53395845290f3a74",
+                "lr": "93e3162c03256e77",
+                "timedirect": "032e59a5eb6a3563",
+            },
+            (10, True): {
+                "n_experimental": "4cce79fec56fef09",
+                "original": "962f73c3a7f86bd7",
+                "lastblock": "d6d3952a72269ac1",
+                "lr": "316a1cb0b2178115",
+                "timedirect": "308b9d01944f949f",
+            },
+            (1, False): {
+                "n_experimental": "4584d00e8028c115",
+                "original": "8ccebfc5abdfe734",
+                "lastblock": "40bcbd800bc77a71",
+                "lr": "5472df0fc76f2374",
+                "timedirect": "48e28701cd6d4442",
+            },
+            (1, True): {
+                "n_experimental": "bca75fab5a2d1d2e",
+                "original": "4680362e83c03152",
+                "lastblock": "9b182527cba8da2b",
+                "lr": "f6637ce3e165191c",
+                "timedirect": "bcf0232c4d10dcfc",
+            },
+        },
         ("X86_V3", "X86_V3", "baseline(X86_V2)"): {
-            False: "8050437586ced98d",
-            True: "668bdce3a1e9ade8",
+            (10, False): {
+                "n_experimental": "95482ac0fa4e5037",
+                "original": "8637dc401e16fe4a",
+                "lastblock": "53395845290f3a74",
+                "lr": "a97ef477a507275a",
+                "timedirect": "be4ffb1fecb80c4b",
+            },
+            (10, True): {
+                "n_experimental": "4cce79fec56fef09",
+                "original": "962f73c3a7f86bd7",
+                "lastblock": "d6d3952a72269ac1",
+                "lr": "11cb1eb16417e279",
+                "timedirect": "ae2a0848fcf18914",
+            },
+            (1, False): {
+                "n_experimental": "4584d00e8028c115",
+                "original": "8ccebfc5abdfe734",
+                "lastblock": "40bcbd800bc77a71",
+                "lr": "aeb9061be0885011",
+                "timedirect": "d9a87c453b837c52",
+            },
+            (1, True): {
+                "n_experimental": "bca75fab5a2d1d2e",
+                "original": "4680362e83c03152",
+                "lastblock": "9b182527cba8da2b",
+                "lr": "ab984f1a9f69cfa4",
+                "timedirect": "0e190533c79e1f98",
+            },
         },
     }
 
@@ -289,9 +425,10 @@ class TestGoldenPin:
         key = (prior_param, block_size, tuned)
         assert self.digest(result) == self.DIGESTS[self.level(self.DIGESTS)][key]
 
-    @pytest.mark.parametrize("tuned", [False, True])
-    def test_exponential_blocks_of_ten_keep_their_bytes(self, tuned):
-        design = DesignConfig(100, 10, 10, 9, design=TunedBRAR() if tuned else StandardBRAR())
+    def check_exponential(self, total_n, burn_in, block_size, tuned):
+        design = sized_design(
+            total_n, burn_in, block_size, TunedBRAR() if tuned else StandardBRAR()
+        )
         tests = (
             original_ap_test(), timedirect_ap_test(), lastblock_ap_test(),
             ComparatorTest("lr", "lr"),
@@ -299,8 +436,22 @@ class TestGoldenPin:
         result = simulate_batch(
             design, OutcomeModel(Exponential(1.0, 1.5)), PRIOR, tests, 2000, seed=7
         )
+        arrays = dict(result.statistics, n_experimental=result.n_experimental)
+        digests = {
+            name: hashlib.sha256(values.tobytes()).hexdigest()[:16]
+            for name, values in arrays.items()
+        }
         level = self.level(self.EXPONENTIAL_DIGESTS)
-        assert self.digest(result) == self.EXPONENTIAL_DIGESTS[level][tuned]
+        assert digests == self.EXPONENTIAL_DIGESTS[level][(design.block_size, tuned)]
+
+    @pytest.mark.parametrize("tuned", [False, True])
+    def test_exponential_blocks_of_ten_keep_their_bytes(self, tuned):
+        self.check_exponential(100, 10, 10, tuned)
+
+    @pytest.mark.parametrize("tuned", [False, True])
+    def test_exponential_blocks_of_one_keep_their_bytes(self, tuned):
+        # 140 blocks: the carry is refilled once, after its 128th step
+        self.check_exponential(150, 10, 1, tuned)
 
 
 class TestAllocationCounts:

@@ -23,6 +23,7 @@ from aptest.models import (
     BetaCarry,
     BetaPrior,
     Exponential,
+    GammaCarry,
     GammaPrior,
     NormalKnownVar,
     NormalPrior,
@@ -30,6 +31,7 @@ from aptest.models import (
     beta_posterior,
     beta_prior_carry,
     beta_superiority_vec,
+    gamma_superiority_vec,
     hypergeom_upper_tail_scalar,
     superiority_probability,
 )
@@ -456,6 +458,16 @@ def test_unit_steps_reproduce_the_masked_step_over_a_long_lopsided_trial():
     assert np.max(np.abs(got - beta_superiority_vec(*params, table))) < 1e-11
 
 
+def test_exact_sum_fills_a_carry_from_whole_floats():
+    # an integral prior given as floats, as Hypothesis draws from real_parameters
+    params = np.array([[2.0], [3.0], [1.0], [4.0]])
+    floats, ints = BetaCarry(), BetaCarry()
+    got = beta_superiority_vec(*params, BETA_TABLE, carry=floats)
+    expected = beta_superiority_vec(*params.astype(np.int64), BETA_TABLE, carry=ints)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(floats.log_g, ints.log_g)
+
+
 def test_forged_unit_step_fails_the_check():
     carry = BetaCarry()
     params = np.array([[3, 4], [5, 6], [7, 8], [9, 10]])
@@ -522,6 +534,84 @@ def test_real_beta_prior_scalar_matches_engine(prior, direction, pairs):
     vec = engine_superiority(model, prior, pairs)
     scalar = [superiority_probability(exp, ctrl, prior, direction) for exp, ctrl in pairs]
     assert np.max(np.abs(vec - scalar)) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# The gamma carry against betainc along random paths
+# ---------------------------------------------------------------------------
+
+#: The carry's accuracy gate against ``betainc``, fixed before its first run.
+GAMMA_CARRY_TOLERANCE = 2e-12
+
+
+def gamma_path(shape, block, width, start, blocks, jump, seed):
+    """Shapes a0, a1 and the x of each call along one random path of ``width`` elements.
+
+    The fill sees ``start`` subjects per element, split at random between
+    the arms; each later call adds ``block`` subjects per element, each to
+    either arm, and moves x by ``jump`` times a standard normal number of
+    posterior sds sqrt(x (1 - x)/(a0 + a1)), kept inside (0, 1).
+    """
+    rng = np.random.default_rng(seed)
+    n0 = rng.integers(0, start + 1, width)
+    x = special.expit(special.logit((n0 + shape) / (start + 2 * shape)) + rng.normal(0, 1, width))
+    for _ in range(blocks + 1):
+        a0, a1 = shape + n0, shape + (start - n0)
+        yield a0, a1, x
+        n0 = n0 + rng.binomial(block, rng.uniform(0, 1, width))
+        start += block
+        sd = np.sqrt(x * (1 - x) / (2 * shape + start))
+        x = np.clip(x + jump * sd * rng.normal(0, 1, width), 1e-300, 1 - 2.0**-53)
+
+
+@given(
+    st.one_of(st.floats(0.05, 20.0), st.floats(20.0, 2500.0)),
+    st.sampled_from((1, 2, 10, 40)),
+    st.integers(1, 24),
+    st.integers(2, 2500),
+    st.integers(1, 12),
+    # inside the x step's window of one sd, and beyond it
+    st.sampled_from((0.1, 0.5, 2.0, 5.0)),
+    st.integers(0, 2**32 - 1),
+)
+# past two refills, one subject per call
+@example(0.7, 1, 64, 20, 2 * models._RESYNC_BLOCKS + 5, 0.5, 1)
+def test_gamma_carry_follows_betainc(shape, block, width, start, blocks, jump, seed):
+    carry = GammaCarry(shape)
+    refills = 0
+    for a0, a1, x in gamma_path(shape, block, width, start, blocks, jump, seed):
+        carried = carry.h is not None and carry.blocks < models._RESYNC_BLOCKS
+        got = gamma_superiority_vec(a1, 1.0 - x, a0, x, carry)
+        refills += not carried
+        assert carry.h is got
+        # the kernel's x, b0 / (b0 + b1), is x itself here up to rounding
+        expected = special.betainc(a0, a1, x / (x + (1.0 - x)))
+        assert np.max(np.abs(got - expected)) <= GAMMA_CARRY_TOLERANCE
+    assert refills == 1 + blocks // (models._RESYNC_BLOCKS + 1)
+
+
+def test_gamma_carry_rule_is_gauss_legendre():
+    nodes, weights = np.polynomial.legendre.leggauss(2 * len(models._X_NODES))
+    assert models._X_NODES == tuple(nodes[len(models._X_NODES):])
+    assert models._X_WEIGHTS == tuple(weights[len(models._X_NODES):])
+
+
+def test_gamma_carry_rejects_shapes_it_cannot_step():
+    a0, a1, x = np.array([3.5, 4.5]), np.array([4.5, 3.5]), np.array([0.4, 0.6])
+    for shapes in (
+        (a0 + 0.5, a1 + 0.5),  # not the prior shape plus whole counts
+        (a0 + [1, 0], a1),  # a different subject count in each element
+        (a0 - 1, a1 + 2),  # a count that falls
+    ):
+        carry = GammaCarry(0.5)
+        gamma_superiority_vec(a1, 1 - x, a0, x, carry)
+        with pytest.raises(ValueError, match="gamma superiority carry"):
+            gamma_superiority_vec(shapes[1], 1 - x, shapes[0], x, carry)
+    # a first call it cannot step from leaves the carry empty, on betainc
+    carry = GammaCarry(0.5)
+    got = gamma_superiority_vec(a1 + [0, 1], 1 - x, a0, x, carry)
+    assert carry.h is None
+    assert np.array_equal(got, special.betainc(a0, a1 + [0, 1], x / (x + (1 - x))))
 
 
 # ---------------------------------------------------------------------------
