@@ -5,7 +5,9 @@ a counter-based random stream derived from (seed, stream key, chunk index),
 so results are bit-identical whether chunks run serially or across worker
 processes, and independent of worker count.  Within a chunk the per-block
 work is pure array arithmetic; only sufficient statistics are tracked, so
-memory stays O(chunk) regardless of trial length.
+memory stays O(chunk) regardless of trial length.  A chunk returns only what
+needs the path, its AP statistics and final counts; ``simulate_batch`` scores
+the comparators from each chunk's counts, in the calling process.
 
 The per-block random stream order is: allocation counts (one uniform per
 replicate, inverted as NumPy's binomial does, for blocks of up to 60
@@ -84,15 +86,27 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass
 class BatchResult:
-    """Per-replicate statistics and patient-level totals for one batch."""
+    """Per-replicate statistics and final counts for one batch: each replicate's
+    subjects and outcome sum per arm, ``n1, s1`` (experimental) and ``n0, s0``."""
 
     statistics: dict[str, np.ndarray]
-    n_experimental: np.ndarray
-    outcome_total: np.ndarray
+    n1: np.ndarray
+    s1: np.ndarray
+    n0: np.ndarray
+    s0: np.ndarray
 
     @property
     def replicates(self) -> int:
-        return self.n_experimental.size
+        return self.n1.size
+
+    @property
+    def n_experimental(self) -> np.ndarray:
+        return self.n1
+
+    @property
+    def outcome_total(self) -> np.ndarray:
+        """Each replicate's outcome sum over both arms, as float64."""
+        return (self.s1 + self.s0).astype(np.float64)
 
 
 def validate_battery(
@@ -365,41 +379,27 @@ def _simulate_chunk(
             n1 += rng.integers(0, 2, size)
         post.absorb(n1, design.total_n - n1, rng)
 
-    _add_comparators(acc, tests, post, model)
-    return BatchResult(
-        statistics=acc,
-        n_experimental=post.n1.copy(),
-        outcome_total=(post.s1 + post.s0).astype(np.float64),
-    )
+    return BatchResult(acc, post.n1, post.s1, post.n0, post.s0)
 
 
-def _add_comparators(
-    out: dict[str, np.ndarray],
-    tests: tuple[TestSpec, ...],
-    post: _PosteriorVec,
-    model: OutcomeModel,
-) -> None:
-    for t in tests:
-        if not isinstance(t, ComparatorTest):
-            continue
-        if t.kind == "lr":
-            stat, _ = lr_exponential_from_counts(post.n1, post.s1, post.n0, post.s0)
-        elif t.kind == "fisher":
-            stat = fisher_statistic_from_counts(post.n1, post.s1, post.n0, post.s0)
-        else:
-            fam = model.family
-            stat, _ = z_statistic_from_counts(
-                post.n1, post.s1, post.n0, post.s0, fam.sd_control, fam.sd_experimental
-            )
-        if np.isnan(stat).any():
-            raise NumericalError(
-                f"comparator {t.name!r} statistic is NaN: outcome sums out of "
-                "floating-point range"
-            )
-        if t.two_sided:
-            # degenerate replicates are marked -inf and must stay non-rejecting
-            stat = np.where(np.isneginf(stat), stat, np.abs(stat))
-        out[t.name] = np.asarray(stat, dtype=np.float64)
+def _comparator(t: ComparatorTest, model: OutcomeModel, part: BatchResult) -> np.ndarray:
+    """``t``'s statistic per replicate, from the final counts of one chunk."""
+    counts = part.n1, part.s1, part.n0, part.s0
+    if t.kind == "lr":
+        stat, _ = lr_exponential_from_counts(*counts)
+    elif t.kind == "fisher":
+        stat = fisher_statistic_from_counts(*counts)
+    else:
+        fam = model.family
+        stat, _ = z_statistic_from_counts(*counts, fam.sd_control, fam.sd_experimental)
+    if np.isnan(stat).any():
+        raise NumericalError(
+            f"comparator {t.name!r} statistic is NaN: outcome sums out of floating-point range"
+        )
+    if t.two_sided:
+        # degenerate replicates are marked -inf and must stay non-rejecting
+        stat = np.where(np.isneginf(stat), stat, np.abs(stat))
+    return np.asarray(stat, dtype=np.float64)
 
 
 def _chunk_task(args) -> BatchResult:
@@ -415,6 +415,8 @@ _pool_lock = threading.Lock()
 
 def pool_workers(threads: int) -> int:
     """Worker processes of the shared pool at ``threads``: at most the CPU count."""
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     return min(threads, os.cpu_count() or 1)
 
 
@@ -459,6 +461,7 @@ def simulate_batch(
         raise ConfigError(f"replicates must lie in [1, {MAX_REPLICATES}], got {replicates}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+    pool_workers(threads)  # raises ConfigError below one thread
     validate_battery(design, model, prior, tests)
     sizes = [
         min(CHUNK_SIZE, replicates - start) for start in range(0, replicates, CHUNK_SIZE)
@@ -471,11 +474,9 @@ def simulate_batch(
         parts = list(shared_pool(threads).map(_chunk_task, tasks))
     else:
         parts = [_chunk_task(task) for task in tasks]
-    names = parts[0].statistics.keys()
-    return BatchResult(
-        statistics={
-            name: np.concatenate([p.statistics[name] for p in parts]) for name in names
-        },
-        n_experimental=np.concatenate([p.n_experimental for p in parts]),
-        outcome_total=np.concatenate([p.outcome_total for p in parts]),
-    )
+    statistics = {n: np.concatenate([p.statistics[n] for p in parts]) for n in parts[0].statistics}
+    for t in tests:
+        if isinstance(t, ComparatorTest):
+            statistics[t.name] = np.concatenate([_comparator(t, model, p) for p in parts])
+    counts = (np.concatenate([getattr(p, f) for p in parts]) for f in ("n1", "s1", "n0", "s0"))
+    return BatchResult(statistics, *counts)

@@ -194,15 +194,14 @@ def patient_benefit(batch: BatchResult, model: OutcomeModel, design: DesignConfi
     """
     if batch.replicates == 0:
         raise ConfigError("empty batch")
-    n_better = batch.n_experimental
-    if model.better_arm() == 0:
-        n_better = design.total_n - batch.n_experimental
-    frac = n_better / design.total_n
+    n1 = batch.n_experimental
+    frac = (design.total_n - n1 if model.better_arm() == 0 else n1) / design.total_n
+    total = batch.outcome_total.mean()
     return BenefitSummary(
         pct_on_better_mean=float(frac.mean() * 100.0),
         pct_on_better_sd=float(frac.std() * 100.0),
-        mean_outcome=float(batch.outcome_total.mean() / design.total_n),
-        mean_total_outcome=float(batch.outcome_total.mean()),
+        mean_outcome=float(total / design.total_n),
+        mean_total_outcome=float(total),
     )
 
 
@@ -400,12 +399,12 @@ def results_in_order(calls, threads: int):
     closing this generator; the reader meets the error when it reaches that
     call's result.
     """
+    workers = pool_workers(threads)  # raises ConfigError below one thread
     if threads == 1:
         for call in calls:
             yield call()
         return
     shared_pool(threads)
-    workers = pool_workers(threads)
     pool = ThreadPoolExecutor(max_workers=workers)
     first_failed = len(calls)  # list position of the earliest call that raised
     lock = threading.Lock()

@@ -21,9 +21,10 @@ from aptest.allocation import (
     sized_design,
     tune_probability,
 )
+from aptest.calibration import NullSpec, calibrate
 from aptest.engine import CHUNK_SIZE, derive_rng, simulate_batch
 from aptest.errors import ConfigError, NumericalError
-from aptest.harness import equal_randomization_design
+from aptest.harness import equal_randomization_design, run_scenario
 from aptest.models import (
     PROB_FLOOR,
     ArmPosterior,
@@ -46,10 +47,13 @@ from aptest.stats import (
     ComparatorTest,
     fisher_statistic_from_counts,
     lastblock_ap_test,
+    lr_exponential_from_counts,
     original_ap_test,
     timedirect_ap_test,
+    z_statistic_from_counts,
 )
 from tests.beta_oracle import beta_superiority_closed
+from tests.test_harness import tiny_scenario
 from tests.test_properties import GAMMA_CARRY_TOLERANCE
 
 PRIOR = GammaPrior(1.0, 0.001)
@@ -599,25 +603,35 @@ class TestDeterminism:
         assert not np.array_equal(a.n_experimental, b.n_experimental)
 
     @pytest.mark.parametrize(
-        "model, prior",
+        "model, prior, comparator",
         [
-            (OutcomeModel(Exponential(1.0, 1.4)), PRIOR),
-            (OutcomeModel(Bernoulli(0.4, 0.6)), BetaPrior(1.0, 1.0)),
-            (OutcomeModel(NormalKnownVar(0.0, 0.5, 1.0, 1.5)), NormalPrior(0.0, 100.0)),
+            (
+                OutcomeModel(Exponential(1.0, 1.4)),
+                PRIOR,
+                ComparatorTest("lr", "lr", two_sided=True),
+            ),
+            (OutcomeModel(Bernoulli(0.4, 0.6)), BetaPrior(1.0, 1.0), ComparatorTest("fisher", "f")),
+            (
+                OutcomeModel(NormalKnownVar(0.0, 0.5, 1.0, 1.5)),
+                NormalPrior(0.0, 100.0),
+                ComparatorTest("z", "z"),
+            ),
         ],
         ids=["exponential", "bernoulli", "normal"],
     )
-    def test_parallel_equals_serial(self, model, prior):
-        # block size 1: each family's one draw per subject, on the pool and off it
+    def test_parallel_equals_serial(self, model, prior, comparator):
+        # block size 1: each family's one draw per subject, on the pool and off it;
+        # the comparator is scored from the counts the workers send back
         design = DesignConfig(30, 6, 1, 24)
-        tests = (timedirect_ap_test(), lastblock_ap_test())
+        tests = (timedirect_ap_test(), lastblock_ap_test(), comparator)
         replicates = CHUNK_SIZE + 1234  # forces two chunks
         serial = simulate_batch(design, model, prior, tests, replicates, seed=8, threads=1)
         parallel = simulate_batch(design, model, prior, tests, replicates, seed=8, threads=2)
+        assert list(serial.statistics) == list(parallel.statistics) == [t.name for t in tests]
         for name in serial.statistics:
-            assert np.array_equal(serial.statistics[name], parallel.statistics[name])
-        assert np.array_equal(serial.n_experimental, parallel.n_experimental)
-        assert np.array_equal(serial.outcome_total, parallel.outcome_total)
+            assert serial.statistics[name].tobytes() == parallel.statistics[name].tobytes()
+        for field in ("n1", "s1", "n0", "s0"):
+            assert getattr(serial, field).tobytes() == getattr(parallel, field).tobytes()
 
     def test_replicate_count_not_multiple_of_chunk(self):
         design = DesignConfig(20, 10, 1, 10)
@@ -698,6 +712,102 @@ class TestBatteryValidation:
         model = OutcomeModel(Exponential(1.0, 1.0))
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             simulate_batch(design, model, PRIOR, (), 100, seed=-1)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected_before_any_chunk(self, monkeypatch, threads):
+        # simulate_batch ran serially, and run_scenario raised concurrent.futures'
+        # bare ValueError; every library entry point now meets engine.pool_workers
+        monkeypatch.setattr(engine, "_chunk_task", lambda task: pytest.fail("simulated"))
+        design = DesignConfig(20, 10, 1, 10)
+        model = OutcomeModel(Exponential(1.0, 1.0))
+        message = f"threads must be >= 1, got {threads}"
+        with pytest.raises(ConfigError, match=message):
+            simulate_batch(design, model, PRIOR, (), 100, seed=0, threads=threads)
+        with pytest.raises(ConfigError, match=message):
+            calibrate(NullSpec(design, model, PRIOR, 100), (lastblock_ap_test(),), 0.05, threads)
+        with pytest.raises(ConfigError, match=message):
+            run_scenario(tiny_scenario(), threads=threads)
+
+
+def _scored_from_counts(test: ComparatorTest, model: OutcomeModel, batch) -> np.ndarray:
+    """``test``'s column as the stats module scores the batch's final counts."""
+    counts = batch.n1, batch.s1, batch.n0, batch.s0
+    if test.kind == "lr":
+        stat = lr_exponential_from_counts(*counts)[0]
+    elif test.kind == "fisher":
+        stat = fisher_statistic_from_counts(*counts)
+    else:
+        fam = model.family
+        stat = z_statistic_from_counts(*counts, fam.sd_control, fam.sd_experimental)[0]
+    if test.two_sided:
+        stat = np.where(np.isneginf(stat), stat, np.abs(stat))  # -inf stays non-rejecting
+    return stat
+
+
+class TestFinalCounts:
+    """The final counts every batch carries, and the columns read from them."""
+
+    LR = (ComparatorTest("lr", "lr"), ComparatorTest("lr", "lr2", two_sided=True))
+    Z = (ComparatorTest("z", "z"), ComparatorTest("z", "z2", two_sided=True))
+    CASES = {
+        "exponential": (
+            DesignConfig(30, 6, 2, 12),
+            OutcomeModel(Exponential(1.0, 1.4)),
+            PRIOR,
+            (LR[0], lastblock_ap_test(), LR[1]),
+        ),
+        "bernoulli": (
+            DesignConfig(30, 6, 1, 24),
+            OutcomeModel(Bernoulli(0.4, 0.6)),
+            BetaPrior(1.0, 1.0),
+            (ComparatorTest("fisher", "fisher"), timedirect_ap_test()),
+        ),
+        "normal": (
+            DesignConfig(30, 6, 1, 24, TunedBRAR()),
+            OutcomeModel(NormalKnownVar(0.0, 0.5, 1.0, 1.5)),
+            NormalPrior(0.0, 100.0),
+            (Z[0], original_ap_test(), Z[1]),
+        ),
+        "odd-er": (equal_randomization_design(31), OutcomeModel(Exponential(1.0, 1.4)), PRIOR, LR),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_counts_carry_the_trial_and_every_comparator(self, case):
+        design, model, prior, tests = self.CASES[case]
+        batch = simulate_batch(design, model, prior, tests, CHUNK_SIZE + 1234, seed=5)
+        aps = [t.name for t in tests if not isinstance(t, ComparatorTest)]
+        comparators = [t for t in tests if isinstance(t, ComparatorTest)]
+        # AP columns first, then comparators in battery order
+        assert list(batch.statistics) == aps + [t.name for t in comparators]
+        assert np.array_equal(batch.n1 + batch.n0, np.full(batch.replicates, design.total_n))
+        assert batch.n_experimental is batch.n1
+        total = (batch.s1 + batch.s0).astype(np.float64)
+        assert batch.outcome_total.tobytes() == total.tobytes()
+        for t in comparators:
+            expected = _scored_from_counts(t, model, batch)
+            assert batch.statistics[t.name].tobytes() == expected.tobytes()
+
+    def test_comparators_are_scored_one_chunk_at_a_time(self, monkeypatch):
+        # one call over a whole 1e6-replicate batch peaks at about 117 MB
+        sizes = []
+        for attr in (
+            "lr_exponential_from_counts",
+            "fisher_statistic_from_counts",
+            "z_statistic_from_counts",
+        ):
+
+            def spy(n1, *rest, fn=getattr(engine, attr)):
+                sizes.append(np.size(n1))
+                return fn(n1, *rest)
+
+            monkeypatch.setattr(engine, attr, spy)
+        design = equal_randomization_design(20)
+        for case in ("exponential", "bernoulli", "normal"):
+            _, model, prior, tests = self.CASES[case]
+            comparators = tuple(t for t in tests if isinstance(t, ComparatorTest))
+            simulate_batch(design, model, prior, comparators, CHUNK_SIZE + 1234, seed=5)
+        # two calls, one per chunk, for each of the five comparators
+        assert sorted(sizes) == [1234] * 5 + [CHUNK_SIZE] * 5
 
 
 class TestFisherAgainstScipy:
